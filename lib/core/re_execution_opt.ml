@@ -8,7 +8,9 @@ let c_grow_skips = Ftes_obs.Metrics.counter "kernel.grow_skips"
 
 let c_grow_exp_elided = Ftes_obs.Metrics.counter "kernel.grow_exp_elided"
 
-let for_mapping_reference ?cache ?(kmax = Sfp.default_kmax) problem design =
+type accepted = { reexecs : int array; per_iteration_failure : float }
+
+let search_reference ?cache ?(kmax = Sfp.default_kmax) problem design =
   let members = Design.n_members design in
   let analyse member =
     match cache with
@@ -22,38 +24,41 @@ let for_mapping_reference ?cache ?(kmax = Sfp.default_kmax) problem design =
   let iterations = Application.iterations_per_hour app in
   let goal = Application.reliability_goal app in
   let k = Array.make members 0 in
-  let reliability_of k =
-    let per_iteration_failure = Sfp.system_failure_per_iteration analyses ~k in
-    Sfp.reliability ~per_iteration_failure ~iterations_per_hour:iterations
+  let failure_of k = Sfp.system_failure_per_iteration analyses ~k in
+  let reliability_of pf =
+    Sfp.reliability ~per_iteration_failure:pf ~iterations_per_hour:iterations
   in
   (* Greedy ascent: always spend the next re-execution where it buys the
-     most system reliability. *)
-  let rec grow current =
-    if current >= goal then Some (Array.copy k)
+     most system reliability; [pf] is the failure of the current [k]. *)
+  let rec grow pf current =
+    if current >= goal then
+      Some { reexecs = Array.copy k; per_iteration_failure = pf }
     else begin
       let best = ref None in
       for j = 0 to members - 1 do
         if k.(j) < kmax then begin
           k.(j) <- k.(j) + 1;
-          let r = reliability_of k in
+          let pf = failure_of k in
+          let r = reliability_of pf in
           k.(j) <- k.(j) - 1;
           match !best with
-          | Some (_, br) when br >= r -> ()
-          | Some _ | None -> best := Some (j, r)
+          | Some (_, br, _) when br >= r -> ()
+          | Some _ | None -> best := Some (j, r, pf)
         end
       done;
       match !best with
       | None -> None
-      | Some (j, r) when r > current ->
+      | Some (j, r, pf) when r > current ->
           k.(j) <- k.(j) + 1;
-          grow r
+          grow pf r
       | Some _ ->
           (* No increment improves reliability any further: the goal is
              unreachable at these hardening levels. *)
           None
     end
   in
-  grow (reliability_of k)
+  let pf = failure_of k in
+  grow pf (reliability_of pf)
 
 (* Incremental variant of the same ascent.  Three accelerations, each
    preserving every float the reference produces (see DESIGN.md §10):
@@ -72,7 +77,7 @@ let for_mapping_reference ?cache ?(kmax = Sfp.default_kmax) problem design =
      so a candidate at or above the running minimum evaluates to at
      most the best reliability and the reference's [br >= r] arm would
      keep the incumbent anyway. *)
-let for_mapping_incremental ?cache ?(kmax = Sfp.default_kmax) problem design =
+let search_incremental ?cache ?(kmax = Sfp.default_kmax) problem design =
   let members = Design.n_members design in
   let vectors_of member =
     match cache with
@@ -92,11 +97,13 @@ let for_mapping_incremental ?cache ?(kmax = Sfp.default_kmax) problem design =
      ceiling of a constant is the same float every call), keeping the
      per-candidate exp free of cross-module boxing. *)
   let iterations_ceil = Float.ceil iterations in
-  let reliability_of_failure pf =
-    if pf >= 1.0 then 0.0 else exp (iterations_ceil *. Float.log1p (-.pf))
-  in
+  (* The delta counters tally locally and reach the registry once. *)
+  let skips = ref 0 and elided = ref 0 in
   let rec grow current =
-    if current >= goal then Some (Array.copy k)
+    if current >= goal then
+      Some
+        { reexecs = Array.copy k;
+          per_iteration_failure = Incremental.system_failure inc ~k }
     else begin
       Incremental.prefix_into inc ~k prefix;
       (* Sweep state as plain refs (unboxed locals): [best_j < 0] plays
@@ -109,12 +116,10 @@ let for_mapping_incremental ?cache ?(kmax = Sfp.default_kmax) problem design =
       let best_pf = ref infinity in
       for j = 0 to members - 1 do
         if k.(j) < kmax then
-          if Incremental.saturated inc ~member:j ~k:k.(j) then
-            Ftes_obs.Metrics.incr c_grow_skips
+          if Incremental.saturated inc ~member:j ~k:k.(j) then incr skips
           else begin
             let pf = Incremental.candidate_failure inc ~k ~prefix ~j in
-            if pf >= !best_pf && !best_j >= 0 then
-              Ftes_obs.Metrics.incr c_grow_exp_elided
+            if pf >= !best_pf && !best_j >= 0 then incr elided
             else begin
               let r =
                 if pf >= 1.0 then 0.0
@@ -136,13 +141,30 @@ let for_mapping_incremental ?cache ?(kmax = Sfp.default_kmax) problem design =
       else None
     end
   in
-  grow (reliability_of_failure (Incremental.system_failure inc ~k))
+  let pf = Incremental.system_failure inc ~k in
+  let accepted =
+    grow
+      (if pf >= 1.0 then 0.0 else exp (iterations_ceil *. Float.log1p (-.pf)))
+  in
+  if !skips > 0 then Ftes_obs.Metrics.add c_grow_skips !skips;
+  if !elided > 0 then Ftes_obs.Metrics.add c_grow_exp_elided !elided;
+  accepted
+
+let search ?cache ?kmax problem design =
+  Ftes_obs.Span.with_ ~name:"opt/reexec" (fun () ->
+      if Ftes_util.Kernel.incremental () then
+        search_incremental ?cache ?kmax problem design
+      else search_reference ?cache ?kmax problem design)
+
+let reexecs_of accepted = Option.map (fun a -> a.reexecs) accepted
 
 let for_mapping ?cache ?kmax problem design =
-  if Ftes_util.Kernel.incremental () then
-    for_mapping_incremental ?cache ?kmax problem design
-  else for_mapping_reference ?cache ?kmax problem design
+  reexecs_of (search ?cache ?kmax problem design)
+
+let for_mapping_reference ?cache ?kmax problem design =
+  reexecs_of (search_reference ?cache ?kmax problem design)
 
 let optimize ?cache ?kmax problem design =
-  Option.map (Design.with_reexecs design)
-    (for_mapping ?cache ?kmax problem design)
+  Option.map
+    (fun a -> { design with Design.reexecs = a.reexecs })
+    (search ?cache ?kmax problem design)

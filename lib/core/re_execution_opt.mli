@@ -9,24 +9,40 @@
     paper's example (N2's 1-10^-3 -> 1-5*10^-5 beats N1's
     1-10^-3 -> 1-10^-4). *)
 
+type accepted = {
+  reexecs : int array;
+  per_iteration_failure : float;
+      (** formula (5) at [reexecs] over the tables the ascent analysed:
+          callers need no second SFP pass for the margin. *)
+}
+
+val search :
+  ?cache:Ftes_par.Sfp_cache.t ->
+  ?kmax:int ->
+  Ftes_model.Problem.t ->
+  Ftes_model.Design.t ->
+  accepted option
+(** [search problem design] ignores [design.reexecs] and returns the
+    re-execution vector the ascent accepts, or [None] when the goal
+    cannot be reached with at most [kmax] (default
+    {!Ftes_sfp.Sfp.default_kmax}) re-executions per node at the
+    design's hardening levels.  When [cache] is given, the per-node SFP
+    tables are served from it (bit-identical to fresh computation).
+    Runs under the [opt/reexec] span.
+
+    Under {!Ftes_util.Kernel.Incremental} (the default) the ascent runs
+    over cached exceedance tables ({!Ftes_sfp.Incremental}) with shared
+    fold prefixes, saturation skips and elided exponentiations; the
+    result — and every float compared along the way — is bit-identical
+    to the reference ascent. *)
+
 val for_mapping :
   ?cache:Ftes_par.Sfp_cache.t ->
   ?kmax:int ->
   Ftes_model.Problem.t ->
   Ftes_model.Design.t ->
   int array option
-(** [for_mapping problem design] ignores [design.reexecs] and returns
-    the computed re-execution vector, or [None] when the goal cannot be
-    reached with at most [kmax] (default {!Ftes_sfp.Sfp.default_kmax})
-    re-executions per node at the design's hardening levels.  When
-    [cache] is given, the per-node SFP tables are served from it
-    (bit-identical to fresh computation).
-
-    Under {!Ftes_util.Kernel.Incremental} (the default) the ascent runs
-    over cached exceedance tables ({!Ftes_sfp.Incremental}) with shared
-    fold prefixes, saturation skips and elided exponentiations; the
-    returned vector — and every float compared along the way — is
-    bit-identical to {!for_mapping_reference}. *)
+(** The re-execution vector of {!search}. *)
 
 val for_mapping_reference :
   ?cache:Ftes_par.Sfp_cache.t ->

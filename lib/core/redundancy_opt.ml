@@ -16,7 +16,8 @@ type result = {
    config is fixed for one optimization run.  The tabu mapping search
    and the hardening escalation/reduction revisit the same triples many
    times, so whole results are memoized alongside the SFP node
-   tables. *)
+   tables.  Keys share the design's frozen [members] and [mapping]
+   (see {!Ftes_model.Design}); the result design shares the key's. *)
 type eval_key = { members : int array; levels : int array; mapping : int array }
 
 (* [probe] and [run] ignore the input levels on top of that (the level
@@ -33,12 +34,7 @@ type probe_key = {
   pr_mapping : int array;
 }
 
-(* The generic polymorphic hash samples only a prefix of the structure;
-   cache keys share their [members] / [levels] prefixes across thousands
-   of entries, which would collapse the tables into linear chains.  Hash
-   every element (FNV-style) instead. *)
-let hash_ints h arr =
-  Array.fold_left (fun h x -> (h * 0x01000193) lxor (x + 1)) h arr
+module Ints = Ftes_par.Ints
 
 let policy_tag = function
   | Config.Fixed_min -> 1
@@ -49,22 +45,25 @@ module Eval_tbl = Hashtbl.Make (struct
   type t = eval_key
 
   let equal a b =
-    a.mapping = b.mapping && a.levels = b.levels && a.members = b.members
+    Ints.equal a.mapping b.mapping
+    && Ints.equal a.levels b.levels
+    && Ints.equal a.members b.members
 
-  let hash k = hash_ints (hash_ints (hash_ints 0x811c9dc5 k.members) k.levels) k.mapping
+  let hash k =
+    Ints.hash (Ints.hash (Ints.hash 0x811c9dc5 k.members) k.levels) k.mapping
 end)
 
 module Probe_tbl = Hashtbl.Make (struct
   type t = probe_key
 
   let equal a b =
-    a.pr_policy = b.pr_policy
-    && a.pr_mapping = b.pr_mapping
-    && a.pr_members = b.pr_members
+    policy_tag a.pr_policy = policy_tag b.pr_policy
+    && Ints.equal a.pr_mapping b.pr_mapping
+    && Ints.equal a.pr_members b.pr_members
 
   let hash k =
-    hash_ints
-      (hash_ints (0x811c9dc5 + policy_tag k.pr_policy) k.pr_members)
+    Ints.hash
+      (Ints.hash (0x811c9dc5 + policy_tag k.pr_policy) k.pr_members)
       k.pr_mapping
 end)
 
@@ -85,9 +84,38 @@ let create_cache ?(max_evals = 200_000) () =
 
 let sfp_cache cache = cache.sfp
 
-let locked cache f =
+(* Cache statistics live on the Ftes_obs registry: one source of truth
+   for the bench harness (via [eval_stats]), metrics snapshots and the
+   `obs/cache-consistency` verifier rule.  [evals.*] counts both the
+   whole-evaluation and the probe memo tables, as before. *)
+let c_eval_lookups = Ftes_obs.Metrics.counter "evals.lookups"
+
+let c_eval_hits = Ftes_obs.Metrics.counter "evals.hits"
+
+let c_eval_misses = Ftes_obs.Metrics.counter "evals.misses"
+
+let c_eval_fresh = Ftes_obs.Metrics.counter "evals.fresh"
+
+(* Inserts skipped because the table reached [max_evals]; the
+   obs/cache-capacity rule checks drops never exceed misses. *)
+let c_capacity_drops = Ftes_obs.Metrics.counter "evals.capacity_drops"
+
+(* The hot path takes the mutex directly: [find_opt] and [replace]
+   cannot raise, so [Mutex.protect]'s closure buys nothing. *)
+let find cache find_opt table key =
+  Ftes_obs.Metrics.incr c_eval_lookups;
   Mutex.lock cache.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache.mutex) f
+  let found = find_opt table key in
+  Mutex.unlock cache.mutex;
+  Ftes_obs.Metrics.incr
+    (if Option.is_some found then c_eval_hits else c_eval_misses);
+  found
+
+let store cache length replace table key value =
+  Mutex.lock cache.mutex;
+  if length table < cache.max_evals then replace table key value
+  else Ftes_obs.Metrics.incr c_capacity_drops;
+  Mutex.unlock cache.mutex
 
 (* --- warm-start cache migration -------------------------------------
 
@@ -192,7 +220,7 @@ let migrate_cache ~base ~(footprint : Ftes_whatif.Delta.footprint) cache =
   let evals_kept = ref 0 and evals_dropped = ref 0 in
   let probes_kept = ref 0 and probes_dropped = ref 0 in
   let fresh =
-    locked cache (fun () ->
+    Mutex.protect cache.mutex (fun () ->
         let evals =
           match fp.Ftes_whatif.Delta.eval_policy with
           | `Drop ->
@@ -300,24 +328,6 @@ let migrate_cache ~base ~(footprint : Ftes_whatif.Delta.footprint) cache =
       mig_evals_dropped = !evals_dropped;
       mig_probes_kept = !probes_kept;
       mig_probes_dropped = !probes_dropped } )
-
-(* Cache statistics live on the Ftes_obs registry: one source of truth
-   for the bench harness (via [eval_stats]), metrics snapshots and the
-   `obs/cache-consistency` verifier rule.  [evals.*] counts both the
-   whole-evaluation and the probe memo tables, as before. *)
-let c_eval_lookups = Ftes_obs.Metrics.counter "evals.lookups"
-
-let c_eval_hits = Ftes_obs.Metrics.counter "evals.hits"
-
-let c_eval_misses = Ftes_obs.Metrics.counter "evals.misses"
-
-let c_eval_fresh = Ftes_obs.Metrics.counter "evals.fresh"
-
-(* Inserts skipped because the table reached [max_evals]; the
-   obs/cache-capacity rule checks drops never exceed misses. *)
-let c_capacity_drops = Ftes_obs.Metrics.counter "evals.capacity_drops"
-
-let c_probe_shortcuts = Ftes_obs.Metrics.counter "kernel.probe_shortcuts"
 
 type eval_stats = { hits : int; misses : int; fresh : int }
 
@@ -456,76 +466,62 @@ let prune_rejected prune problem levels =
       if rejected then Ftes_obs.Metrics.incr c_pruned_assignments;
       rejected
 
-let evaluate_fresh ?sfp config problem design levels =
+(* [d] carries the candidate's levels; its arrays are frozen, so the
+   result design shares them. *)
+let evaluate_fresh ?sfp config problem d =
   Ftes_obs.Metrics.incr c_eval_fresh;
   Ftes_obs.Span.with_ ~name:"opt/evaluate" (fun () ->
-      let d = Design.with_levels design levels in
       match
-        Re_execution_opt.optimize ?cache:sfp ~kmax:config.Config.kmax problem d
+        Re_execution_opt.search ?cache:sfp ~kmax:config.Config.kmax problem d
       with
       | None -> None
-      | Some d ->
+      | Some accepted ->
+          let d =
+            { d with Design.reexecs = accepted.Re_execution_opt.reexecs }
+          in
           let schedule_length =
             Scheduler.schedule_length ~slack:config.Config.slack
               ~bus:config.Config.bus problem d
           in
           (* The optimizer proper only compares lengths and costs; slack
              and margin ride along so frontier recording (and callers
-             such as the ablations) need not re-derive them.  The SFP
-             tables are the ones [Re_execution_opt] just built — shared
-             via [sfp] when memoized. *)
-          let kmax = config.Config.kmax in
-          let analyse member =
-            match sfp with
-            | Some cache ->
-                Ftes_par.Sfp_cache.node_analysis cache problem d ~member ~kmax
-            | None ->
-                Sfp.node_analysis ~kmax (Design.pfail_vector problem d ~member)
-          in
-          let analyses = Array.init (Design.n_members d) analyse in
-          let per_iteration_failure =
-            Sfp.system_failure_per_iteration analyses ~k:d.Design.reexecs
-          in
+             such as the ablations) need not re-derive them.  The margin
+             reuses the failure the k-search accepted: no second SFP
+             pass. *)
           Some
             { design = d;
               schedule_length;
               cost = Design.cost problem d;
               slack = deadline problem -. schedule_length;
               margin =
-                Sfp.log10_margin problem.Problem.app ~per_iteration_failure })
+                Sfp.log10_margin problem.Problem.app
+                  ~per_iteration_failure:
+                    accepted.Re_execution_opt.per_iteration_failure })
 
 let evaluate ?cache config problem design levels =
   match cache with
-  | None -> evaluate_fresh config problem design levels
+  | None -> evaluate_fresh config problem (Design.with_levels design levels)
   | Some cache -> (
-      (* Lookups borrow the live arrays; only an insert snapshots them
-         (the caller may mutate its levels array after we return). *)
+      (* Lookups borrow the caller's live [levels]; a miss copies it
+         once, for both the stored key and the evaluated design (the
+         caller may mutate its array after we return). *)
       let key =
         { members = design.Design.members;
           levels;
           mapping = design.Design.mapping }
       in
-      Ftes_obs.Metrics.incr c_eval_lookups;
-      match locked cache (fun () -> Eval_tbl.find_opt cache.evals key) with
-      | Some result ->
-          Ftes_obs.Metrics.incr c_eval_hits;
-          result
+      match find cache Eval_tbl.find_opt cache.evals key with
+      | Some result -> result
       | None ->
-          Ftes_obs.Metrics.incr c_eval_misses;
+          let levels = Array.copy levels in
           (* Compute outside the lock; a duplicated concurrent
              evaluation of the same pure key is harmless. *)
           let result =
-            evaluate_fresh ~sfp:cache.sfp config problem design levels
+            evaluate_fresh ~sfp:cache.sfp config problem
+              { design with Design.levels }
           in
-          let key =
-            { members = Array.copy design.Design.members;
-              levels = Array.copy levels;
-              mapping = Array.copy design.Design.mapping }
-          in
-          locked cache (fun () ->
-              if Eval_tbl.length cache.evals < cache.max_evals then
-                Eval_tbl.replace cache.evals key result
-              else Ftes_obs.Metrics.incr c_capacity_drops);
+          store cache Eval_tbl.length Eval_tbl.replace cache.evals
+            { key with levels } result;
           result)
 
 let min_levels design = Array.map (fun _ -> 1) design.Design.members
@@ -537,35 +533,8 @@ let max_levels problem design =
    shortens the schedule the most, until schedulable or saturated.
    Returns the first schedulable result (if any) and the best schedule
    length seen anywhere along the way. *)
-(* The climb is a deterministic function of (members, mapping, config
-   minus hardening policy, problem), and an Optimize probe that came
-   back unschedulable recorded exactly this climb's [(None, best_len)]
-   outcome (reduction only runs on a schedulable result).  So a
-   memoized unschedulable probe proves the whole escalation futile, and
-   the incremental kernel returns the recorded outcome without
-   re-climbing.  The probe-table peek deliberately bypasses the
-   [evals.*] lookup counters: it is not one of the lookups whose
-   hits/misses they reconcile. *)
-let escalate_shortcut cache design =
-  if not (Ftes_util.Kernel.incremental ()) then None
-  else begin
-    let key =
-      { pr_policy = Config.Optimize;
-        pr_members = design.Design.members;
-        pr_mapping = design.Design.mapping }
-    in
-    match locked cache (fun () -> Probe_tbl.find_opt cache.probes key) with
-    | Some ((None, _) as outcome) ->
-        Ftes_obs.Metrics.incr c_probe_shortcuts;
-        Some outcome
-    | Some (Some _, _) | None -> None
-  end
-
 let escalate ?cache ?prune config problem design =
   Ftes_obs.Span.with_ ~name:"opt/escalate" @@ fun () ->
-  match Option.bind cache (fun c -> escalate_shortcut c design) with
-  | Some outcome -> outcome
-  | None ->
   let d = deadline problem in
   (* Only deadness may be pruned here: an unschedulable candidate's
      length still feeds the greedy climb's scoring. *)
@@ -713,37 +682,18 @@ let probe ?cache ?preflight ~config problem design =
           pr_members = design.Design.members;
           pr_mapping = design.Design.mapping }
       in
-      Ftes_obs.Metrics.incr c_eval_lookups;
-      match locked cache (fun () -> Probe_tbl.find_opt cache.probes key) with
-      | Some outcome ->
-          Ftes_obs.Metrics.incr c_eval_hits;
-          outcome
+      match find cache Probe_tbl.find_opt cache.probes key with
+      | Some outcome -> outcome
       | None ->
-          Ftes_obs.Metrics.incr c_eval_misses;
           let outcome = probe_uncached ~cache ?prune ~config problem design in
-          let key =
-            { key with
-              pr_members = Array.copy design.Design.members;
-              pr_mapping = Array.copy design.Design.mapping }
-          in
-          locked cache (fun () ->
-              if Probe_tbl.length cache.probes < cache.max_evals then
-                Probe_tbl.replace cache.probes key outcome
-              else Ftes_obs.Metrics.incr c_capacity_drops);
+          (* The key keeps the design's frozen arrays: nothing to copy. *)
+          store cache Probe_tbl.length Probe_tbl.replace cache.probes key
+            outcome;
           outcome)
 
 let best_effort_length ?cache ?preflight ~config problem design =
   let prune = prune_of ?preflight ~config problem design in
-  let fixed levels =
-    if prune_dead prune levels then infinity
-    else
-      match evaluate ?cache config problem design levels with
-      | Some r -> r.schedule_length
-      | None -> infinity
-  in
   match config.Config.hardening with
-  | Config.Fixed_min -> fixed (min_levels design)
-  | Config.Fixed_max -> fixed (max_levels problem design)
-  | Config.Optimize ->
-      let _, best_len = escalate ?cache ?prune config problem design in
-      best_len
+  | Config.Fixed_min | Config.Fixed_max ->
+      snd (probe_uncached ?cache ?prune ~config problem design)
+  | Config.Optimize -> snd (escalate ?cache ?prune config problem design)

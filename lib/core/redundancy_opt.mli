@@ -51,13 +51,7 @@ val create_cache : ?max_evals:int -> unit -> cache
     evaluations are retained.  Each insert skipped at capacity bumps
     the process-wide [evals.capacity_drops] counter (checked by the
     [obs/cache-capacity] verifier rule), so a saturated cache is
-    observable instead of silently degrading into recomputation.
-
-    Under {!Ftes_util.Kernel.Incremental}, a memoized [Optimize] probe
-    that came back unschedulable also short-circuits later escalations
-    of the same (members, mapping) — the recorded [(None, best_len)]
-    outcome is returned without re-climbing (bit-identical: the climb
-    is deterministic), counted by [kernel.probe_shortcuts]. *)
+    observable instead of silently degrading into recomputation. *)
 
 val sfp_cache : cache -> Ftes_par.Sfp_cache.t
 (** The SFP node-table layer of [cache], for hit-rate reporting and for
@@ -112,6 +106,18 @@ val validate_preflight :
     {!Design_strategy} applies it once up front. *)
 
 val reset_eval_stats : unit -> unit
+
+val evaluate :
+  ?cache:cache ->
+  Config.t ->
+  Ftes_model.Problem.t ->
+  Ftes_model.Design.t ->
+  int array ->
+  result option
+(** [evaluate config problem design levels]: the k-search and one
+    schedule for [design]'s members and mapping at hardening [levels];
+    [None] when the goal is unreachable.  Memoized in [cache] (a miss
+    copies [levels], which the caller may reuse afterwards). *)
 
 val run :
   ?cache:cache ->

@@ -234,20 +234,101 @@ let run_lines ?pool ?caches ?(telemetry = true) ?(first_seq = 0) lines =
 
 type stats = { requests : int; failed : int; batches : int }
 
-let read_batch ic n =
-  let rec go n acc =
-    if n = 0 then List.rev acc
-    else
-      match In_channel.input_line ic with
-      | None -> List.rev acc
-      | Some line -> go (n - 1) (line :: acc)
+(* Request lines are read from the channel's descriptor directly: a
+   batch takes only the lines already received, and [Unix.select] can
+   see what the descriptor holds but not what an [in_channel] has
+   buffered.  [lines] holds the complete lines received, [partial] the
+   bytes after the last newline. *)
+type reader = {
+  fd : Unix.file_descr;
+  chunk : Bytes.t;
+  lines : string Queue.t;
+  partial : Buffer.t;
+  mutable eof : bool;
+}
+
+let reader ic =
+  { fd = Unix.descr_of_in_channel ic;
+    chunk = Bytes.create 65536;
+    lines = Queue.create ();
+    partial = Buffer.create 4096;
+    eof = false }
+
+(* One blocking read of whatever the descriptor holds, split at
+   newlines; at end of input an unterminated tail is a last line, as
+   with [input_line]. *)
+let fill r =
+  let end_line () =
+    Queue.push (Buffer.contents r.partial) r.lines;
+    Buffer.clear r.partial
   in
-  go n []
+  match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+  | 0 ->
+      r.eof <- true;
+      if Buffer.length r.partial > 0 then end_line ()
+  | n ->
+      let rec split pos =
+        match Bytes.index_from_opt r.chunk pos '\n' with
+        | Some i when i < n ->
+            Buffer.add_subbytes r.partial r.chunk pos (i - pos);
+            end_line ();
+            split (i + 1)
+        | Some _ | None -> Buffer.add_subbytes r.partial r.chunk pos (n - pos)
+      in
+      split 0
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+let take_line r = Queue.take_opt r.lines
+
+let rec next_line r =
+  match take_line r with
+  | Some _ as line -> line
+  | None ->
+      if r.eof then None
+      else begin
+        fill r;
+        next_line r
+      end
+
+let readable_now fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | [], _, _ -> false
+  | _ :: _, _, _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+
+(* A line that is available without waiting: already received, or
+   completed by bytes the descriptor holds right now. *)
+let rec ready_line r =
+  match take_line r with
+  | Some _ as line -> line
+  | None ->
+      if r.eof || not (readable_now r.fd) then None
+      else begin
+        fill r;
+        ready_line r
+      end
+
+(* Block for the first line only, then take further lines while they
+   are already there, up to [n]: a closed-loop client that waits for
+   each answer is served a batch of one. *)
+let read_batch r n =
+  match next_line r with
+  | None -> []
+  | Some first ->
+      let rec more acc n =
+        if n = 0 then List.rev acc
+        else
+          match ready_line r with
+          | None -> List.rev acc
+          | Some line -> more (line :: acc) (n - 1)
+      in
+      more [ first ] (n - 1)
 
 let serve ?pool ?caches ?telemetry ?(max_batch = 16) ic oc =
   if max_batch < 1 then invalid_arg "Daemon.serve: max_batch must be positive";
+  let input = reader ic in
   let rec loop stats seq =
-    match read_batch ic max_batch with
+    match read_batch input max_batch with
     | [] -> stats
     | lines ->
         let responses =

@@ -87,10 +87,15 @@ val serve :
   in_channel ->
   out_channel ->
   stats
-(** The daemon loop: read up to [max_batch] (default 16) lines, answer
-    them as one pool batch, flush, repeat until EOF.  [max_batch = 1]
-    gives strict request-by-request streaming; larger batches let
-    independent requests overlap on the pool. *)
+(** The daemon loop: wait for a request line, take the further lines
+    already received — up to [max_batch] (default 16) in all — answer
+    them as one pool batch, flush, repeat until EOF.  A batch never
+    waits for lines that have not arrived, so a closed-loop client that
+    sends one request and waits for its answer is served under any
+    [max_batch]; [max_batch = 1] gives strict request-by-request
+    streaming, and larger batches let independent requests that arrive
+    together overlap on the pool.  The loop reads [ic]'s descriptor
+    directly, so nothing may have been read from [ic] before. *)
 
 val audit :
   ?pool:Ftes_par.Pool.t ->

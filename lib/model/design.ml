@@ -80,13 +80,14 @@ let wcet problem t ~proc =
    reads, so the fill is bit-identical to [n] scalar calls. *)
 let wcet_into problem t ~out =
   let members = Array.length t.members in
-  let tables =
-    Array.init members (fun slot ->
-        (Platform.version
-           (Problem.node problem t.members.(slot))
-           ~level:t.levels.(slot))
-          .Platform.wcet_ms)
-  in
+  let tables = Array.make members [||] in
+  for slot = 0 to members - 1 do
+    tables.(slot) <-
+      (Platform.version
+         (Problem.node problem t.members.(slot))
+         ~level:t.levels.(slot))
+        .Platform.wcet_ms
+  done;
   let mapping = t.mapping in
   for p = 0 to Array.length mapping - 1 do
     out.(p) <- tables.(mapping.(p)).(p)

@@ -12,6 +12,18 @@ type t = {
   reexecs : int array;  (** [kj] per member. *)
   mapping : int array;  (** process index -> member slot [0..n-1]. *)
 }
+(** {b Frozen arrays.}  Every constructor below copies the arrays it is
+    given, and nothing mutates a design's arrays afterwards: a design's
+    four arrays are frozen for its lifetime.  Code building a design
+    with a record expression (functional update included) owes the same
+    guarantee — it hands over arrays that no one writes again (a fresh
+    copy, or another design's array).  The memo layers rely on this:
+    the evaluation and probe tables of [Ftes_core.Redundancy_opt] key
+    on a design's [members] and [mapping] arrays by reference and store
+    result designs that share them, and [Ftes_par.Sfp_cache] caches the
+    member partition per [mapping] array identity.  To vary an array,
+    copy it first ([Array.copy design.mapping]) and build a new design
+    from the copy. *)
 
 val make :
   Problem.t ->
@@ -34,7 +46,8 @@ val n_members : t -> int
 val with_levels : t -> int array -> t
 val with_reexecs : t -> int array -> t
 val with_mapping : t -> int array -> t
-(** Functional updates (the arrays are copied). *)
+(** Functional updates (the new array is copied; the others are
+    shared, which the frozen-array invariant makes safe). *)
 
 val cost : Problem.t -> t -> float
 (** Total architecture cost: sum of the member node costs at their

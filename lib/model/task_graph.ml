@@ -120,19 +120,15 @@ let bottom_levels t ~exec ~comm =
 
 (* Monomorphic bottom-level pass for the scheduler's incremental
    kernel: [exec p] is [wcet.(p)] and [comm] zeroes same-member edges,
-   with no closure indirection per edge.  The running maximum replaces
-   [Float.max] with a [>] test, which agrees on every finite input (the
-   accumulator starts at [+0.] and transmission times are validated
-   finite and non-negative), so the result is bit-identical to
-   [bottom_levels]. *)
-(* Walks the CSR mirror of [succs] in the same element order, with the
-   running maximum in a local (unboxed) ref: [if v > best] against an
-   accumulator starting at [0.0] is [Float.max] on these inputs — all
-   finite, and a [-0.] candidate can never displace the non-negative
-   accumulator — so each [bl] entry is bit-identical to the
-   closure-based [bottom_levels] fold. *)
-let bottom_levels_wcet t ~wcet ~mapping =
-  let bl = Array.make t.n 0.0 in
+   with no closure indirection per edge.  Walks the CSR mirror of
+   [succs] in the same element order, with the running maximum in a
+   local (unboxed) ref: [if v > best] against an accumulator starting
+   at [0.0] is [Float.max] on these inputs — all finite, and a [-0.]
+   candidate can never displace the non-negative accumulator — so each
+   entry is bit-identical to the closure-based [bottom_levels] fold.
+   Every cell is written before it is read (reverse topological order),
+   so [out] needs no initialization. *)
+let bottom_levels_wcet_into t ~wcet ~mapping ~out:bl =
   let off = t.succ_off and dst = t.succ_dst and tx = t.succ_tx in
   for idx = t.n - 1 downto 0 do
     let u = t.topo.(idx) in
@@ -145,8 +141,7 @@ let bottom_levels_wcet t ~wcet ~mapping =
       if v > !best then best := v
     done;
     bl.(u) <- wcet.(u) +. !best
-  done;
-  bl
+  done
 
 let longest_path t ~exec ~comm =
   let bl = bottom_levels t ~exec ~comm in

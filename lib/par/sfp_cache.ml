@@ -4,18 +4,15 @@ module Sfp = Ftes_sfp.Sfp
 
 type key = { node : int; level : int; kmax : int; procs : int array }
 
-(* The generic polymorphic hash samples only a prefix of the structure,
-   so keys differing late in [procs] would chain; hash every element. *)
 module Key_tbl = Hashtbl.Make (struct
   type t = key
 
   let equal a b =
     a.node = b.node && a.level = b.level && a.kmax = b.kmax
-    && a.procs = b.procs
+    && Ints.equal a.procs b.procs
 
   let hash k =
-    let h = 0x811c9dc5 + k.node + (31 * k.level) + (961 * k.kmax) in
-    Array.fold_left (fun h x -> (h * 0x01000193) lxor (x + 1)) h k.procs
+    Ints.hash (0x811c9dc5 + k.node + (31 * k.level) + (961 * k.kmax)) k.procs
 end)
 
 module Incremental = Ftes_sfp.Incremental
@@ -52,10 +49,6 @@ let create ?(max_entries = 1 lsl 18) () =
     max_entries;
     hits = Atomic.make 0;
     misses = Atomic.make 0 }
-
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 (* Ascending processes on [member], built without the intermediate
    list [Design.procs_on] returns — key construction runs on every
@@ -108,7 +101,12 @@ let node_entry t problem design ~member ~kmax =
       procs = procs_of design ~member }
   in
   Ftes_obs.Metrics.incr c_lookups;
-  match locked t (fun () -> Key_tbl.find_opt t.table key) with
+  (* [find_opt] cannot raise, so the hit path skips [Mutex.protect]'s
+     closure. *)
+  Mutex.lock t.mutex;
+  let found = Key_tbl.find_opt t.table key in
+  Mutex.unlock t.mutex;
+  match found with
   | Some entry ->
       Atomic.incr t.hits;
       Ftes_obs.Metrics.incr c_hits;
@@ -122,7 +120,7 @@ let node_entry t problem design ~member ~kmax =
         Sfp.node_analysis ~kmax (Design.pfail_vector problem design ~member)
       in
       let entry = { analysis; vectors = Incremental.node_vectors analysis } in
-      locked t (fun () ->
+      Mutex.protect t.mutex (fun () ->
           if Key_tbl.length t.table < t.max_entries then
             Key_tbl.replace t.table key entry
           else Ftes_obs.Metrics.incr c_capacity_drops);
@@ -142,7 +140,7 @@ let migrate ?(same_keys = false) ~keep t =
          in-place filter skips rehashing every (node, level, kmax,
          procs) key — migration is the floor of a warm what-if rerun,
          and the rehash dominated it. *)
-      let table = locked t (fun () -> Key_tbl.copy t.table) in
+      let table = Mutex.protect t.mutex (fun () -> Key_tbl.copy t.table) in
       Key_tbl.filter_map_inplace
         (fun key entry ->
           if Option.is_some (keep key) then begin
@@ -162,7 +160,7 @@ let migrate ?(same_keys = false) ~keep t =
     end
     else begin
       let fresh = create ~max_entries:t.max_entries () in
-      locked t (fun () ->
+      Mutex.protect t.mutex (fun () ->
           Key_tbl.iter
             (fun key entry ->
               match keep key with
@@ -180,10 +178,10 @@ let hits t = Atomic.get t.hits
 
 let misses t = Atomic.get t.misses
 
-let length t = locked t (fun () -> Key_tbl.length t.table)
+let length t = Mutex.protect t.mutex (fun () -> Key_tbl.length t.table)
 
 let entries t =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       Key_tbl.fold
         (fun key entry acc -> (key, entry.analysis) :: acc)
         t.table [])

@@ -7,12 +7,15 @@ type t = {
   member_free : float array; (* TDMA: per-node next usable instant *)
 }
 
-let create policy ~members =
+let validate policy ~members =
   if members <= 0 then invalid_arg "Bus.create: member count must be positive";
-  (match policy with
+  match policy with
   | Tdma { slot_ms } when not (Float.is_finite slot_ms) || slot_ms <= 0.0 ->
       invalid_arg "Bus.create: TDMA slot must be positive"
-  | Tdma _ | Fcfs -> ());
+  | Tdma _ | Fcfs -> ()
+
+let create policy ~members =
+  validate policy ~members;
   { policy; members; free = 0.0; member_free = Array.make members 0.0 }
 
 let policy t = t.policy

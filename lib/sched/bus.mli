@@ -23,6 +23,10 @@ val create : policy -> members:int -> t
 (** Fresh bus state for an architecture of [members] nodes.  Raises
     [Invalid_argument] for a non-positive TDMA slot or member count. *)
 
+val validate : policy -> members:int -> unit
+(** The checks of {!create}, without building any state — for the
+    length-only scheduler kernel, which books an FCFS bus inline. *)
+
 val policy : t -> policy
 
 val transmit_finish : t -> member:int -> ready:float -> duration:float -> float

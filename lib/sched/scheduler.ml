@@ -15,10 +15,6 @@ let c_priority_passes = Ftes_obs.Metrics.counter "sched.priority_passes"
 
 let c_slack_recomputations = Ftes_obs.Metrics.counter "sched.slack_recomputations"
 
-let c_prio_hits = Ftes_obs.Metrics.counter "kernel.prio_hits"
-
-let c_prio_misses = Ftes_obs.Metrics.counter "kernel.prio_misses"
-
 let priorities problem design =
   Ftes_obs.Metrics.incr c_priority_passes;
   let graph = Problem.graph problem in
@@ -28,102 +24,6 @@ let priorities problem design =
     else e.transmission_ms
   in
   Task_graph.bottom_levels graph ~exec ~comm
-
-(* --- Priorities memo (incremental kernel only) ---
-
-   The bottom-level pass is a function of the graph (owned by the
-   problem), the WCET vector and the mapping (which decides edge
-   zeroing).  The escalation and tabu loops re-schedule designs that
-   differ in one hardening level — often leaving the WCET vector of
-   every mapped process unchanged — so a small per-domain ring of
-   recently computed priority vectors removes most passes.  A hit
-   serves the stored vector (the scheduler only reads it); a memoized
-   vector is bit-identical to a fresh pass because [exec]/[comm]
-   evaluate to the same floats, so memoization only affects speed. *)
-
-type prio_entry = {
-  hash : int;
-  problem : Problem.t;
-  mapping : int array;
-  wcet : float array;
-  prio : float array;
-}
-
-let prio_ring_capacity = 32
-
-type prio_ring = { slots : prio_entry option array; mutable next : int }
-
-let prio_ring_key =
-  Domain.DLS.new_key (fun () ->
-      { slots = Array.make prio_ring_capacity None; next = 0 })
-
-let prio_hash mapping wcet n =
-  let h = ref 0x811c9dc5 in
-  let mix x = h := (!h lxor x) * 0x01000193 in
-  for p = 0 to n - 1 do
-    mix mapping.(p);
-    mix (Int64.to_int (Int64.bits_of_float wcet.(p)))
-  done;
-  !h
-
-let array_prefix_eq_int (a : int array) (b : int array) n =
-  Array.length b = n
-  &&
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if a.(i) <> b.(i) then ok := false
-  done;
-  !ok
-
-let array_prefix_eq_float (a : float array) (b : float array) n =
-  Array.length b = n
-  &&
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    (* Bit compare: the key must distinguish -0. from 0. like a fresh
-       pass would not, but must never unify distinct NaN payloads with
-       anything. *)
-    if Int64.bits_of_float a.(i) <> Int64.bits_of_float b.(i) then ok := false
-  done;
-  !ok
-
-let priorities_memo problem design ~wcet =
-  let graph = Problem.graph problem in
-  let n = Task_graph.n graph in
-  let mapping = design.Design.mapping in
-  let hash = prio_hash mapping wcet n in
-  let ring = Domain.DLS.get prio_ring_key in
-  let found = ref None in
-  let i = ref 0 in
-  (* [==] against the immediate [None]: a structural [=] here would be
-     a generic-compare call per probed slot. *)
-  while !found == None && !i < prio_ring_capacity do
-    (match ring.slots.(!i) with
-    | Some e
-      when e.hash = hash && e.problem == problem
-           && array_prefix_eq_int mapping e.mapping n
-           && array_prefix_eq_float wcet e.wcet n ->
-        found := Some e.prio
-    | _ -> ());
-    incr i
-  done;
-  match !found with
-  | Some prio ->
-      Ftes_obs.Metrics.incr c_prio_hits;
-      prio
-  | None ->
-      Ftes_obs.Metrics.incr c_prio_misses;
-      Ftes_obs.Metrics.incr c_priority_passes;
-      let prio = Task_graph.bottom_levels_wcet graph ~wcet ~mapping in
-      ring.slots.(ring.next) <-
-        Some
-          { hash;
-            problem;
-            mapping = Array.copy mapping;
-            wcet = Array.sub wcet 0 n;
-            prio };
-      ring.next <- (ring.next + 1) mod prio_ring_capacity;
-      prio
 
 let validate_slack ~slack n =
   match slack with
@@ -287,17 +187,77 @@ let schedule_impl ~slack ~bus problem design =
      asc) — exactly the (max priority, lowest index) argmax the
      reference [pick] scan computes, so identical pop sequences;
    - WCETs are fetched once into a scratch vector (the same
-     [Design.wcet] calls the reference makes per placement);
-   - priority vectors come from the per-domain memo ring;
+     [Design.wcet] calls the reference makes per placement), and the
+     bottom-level pass reads them through the graph's CSR adjacency;
    - short-lived working arrays come from the domain's scratch arena.
      Arrays escaping into the returned {!Schedule.t} (entries,
      node_finish, node_worst) stay freshly allocated. *)
 
+(* Heap order: highest priority first, ties to the lower index.  Both
+   kernels share these top-level functions, so the length-only one
+   allocates no closure for them; the comparator is written out at each
+   use so the sift loops make no calls on their hottest comparisons. *)
+let heap_push (heap : int array) (prio : float array) len p =
+  heap.(len) <- p;
+  let i = ref len in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let a = heap.(!i) and b = heap.(parent) in
+    if prio.(a) > prio.(b) || (prio.(a) = prio.(b) && a < b) then begin
+      heap.(parent) <- a;
+      heap.(!i) <- b;
+      i := parent
+    end
+    else continue := false
+  done
+
+(* Pops the top of a heap of [len] elements; the caller shrinks [len]. *)
+let heap_pop (heap : int array) (prio : float array) len =
+  let top = heap.(0) in
+  let len = len - 1 in
+  heap.(0) <- heap.(len);
+  let i = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let best = ref !i in
+    if l < len then begin
+      let a = heap.(l) and b = heap.(!best) in
+      if prio.(a) > prio.(b) || (prio.(a) = prio.(b) && a < b) then best := l
+    end;
+    if r < len then begin
+      let a = heap.(r) and b = heap.(!best) in
+      if prio.(a) > prio.(b) || (prio.(a) = prio.(b) && a < b) then best := r
+    end;
+    if !best = !i then continue := false
+    else begin
+      let tmp = heap.(!best) in
+      heap.(!best) <- heap.(!i);
+      heap.(!i) <- tmp;
+      i := !best
+    end
+  done;
+  top
+
+(* Run [f] on an acquired arena, releasing it on every exit path; a
+   [match ... with exception] handler, unlike [Fun.protect], allocates
+   nothing. *)
+let with_arena f ~slack ~bus problem design =
+  let arena = Scratch.acquire () in
+  match f arena ~slack ~bus problem design with
+  | v ->
+      Scratch.release arena;
+      v
+  | exception e ->
+      Scratch.release arena;
+      raise e
+
 let dummy_entry =
   { Schedule.proc = -1; slot = -1; start = 0.0; finish = 0.0; commit = 0.0 }
 
-let schedule_fast ~slack ~bus problem design =
-  Scratch.with_arena @@ fun arena ->
+let schedule_fast arena ~slack ~bus problem design =
   let graph = Problem.graph problem in
   let n = Task_graph.n graph in
   validate_slack ~slack n;
@@ -307,7 +267,9 @@ let schedule_fast ~slack ~bus problem design =
   let k slot = design.Design.reexecs.(slot) in
   let wcet = Scratch.floats arena ~slot:0 ~n in
   Design.wcet_into problem design ~out:wcet;
-  let prio = priorities_memo problem design ~wcet in
+  Ftes_obs.Metrics.incr c_priority_passes;
+  let prio = Scratch.floats arena ~slot:8 ~n in
+  Task_graph.bottom_levels_wcet_into graph ~wcet ~mapping ~out:prio;
   let node_avail = Scratch.floats arena ~slot:1 ~n:members in
   let max_exec = Scratch.floats arena ~slot:2 ~n:members in
   let max_recovery = Scratch.floats arena ~slot:3 ~n:members in
@@ -326,55 +288,9 @@ let schedule_fast ~slack ~bus problem design =
   Task_graph.in_degrees_into graph remaining_preds;
   let heap = Scratch.ints arena ~slot:1 ~n in
   let heap_len = ref 0 in
-  (* Pop order: highest priority first, ties to the lower index — the
-     same argmax the reference scan computes.  The comparator is
-     written out at each use so the sift loops run without closure
-     calls on their hottest comparisons. *)
   let push p =
-    heap.(!heap_len) <- p;
-    let i = ref !heap_len in
-    incr heap_len;
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      let a = heap.(!i) and b = heap.(parent) in
-      if prio.(a) > prio.(b) || (prio.(a) = prio.(b) && a < b) then begin
-        heap.(parent) <- a;
-        heap.(!i) <- b;
-        i := parent
-      end
-      else continue := false
-    done
-  in
-  let pop () =
-    let top = heap.(0) in
-    decr heap_len;
-    heap.(0) <- heap.(!heap_len);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      let r = l + 1 in
-      let best = ref !i in
-      if l < !heap_len then begin
-        let a = heap.(l) and b = heap.(!best) in
-        if prio.(a) > prio.(b) || (prio.(a) = prio.(b) && a < b) then
-          best := l
-      end;
-      if r < !heap_len then begin
-        let a = heap.(r) and b = heap.(!best) in
-        if prio.(a) > prio.(b) || (prio.(a) = prio.(b) && a < b) then
-          best := r
-      end;
-      if !best = !i then continue := false
-      else begin
-        let tmp = heap.(!best) in
-        heap.(!best) <- heap.(!i);
-        heap.(!i) <- tmp;
-        i := !best
-      end
-    done;
-    top
+    heap_push heap prio !heap_len p;
+    incr heap_len
   in
   for p = 0 to n - 1 do
     if remaining_preds.(p) = 0 then push p
@@ -431,7 +347,9 @@ let schedule_fast ~slack ~bus problem design =
       (Task_graph.succs graph p)
   in
   for _ = 1 to n do
-    place (pop ())
+    let p = heap_pop heap prio !heap_len in
+    decr heap_len;
+    place p
   done;
   Ftes_obs.Metrics.incr c_slack_recomputations;
   let node_worst =
@@ -458,20 +376,23 @@ let schedule_fast ~slack ~bus problem design =
    placement order and float operations (the placement floats do not
    depend on the entry/message records, and the final fold over
    [node_worst] runs in the same slot order starting from [0.0]), but
-   no entry or message records are built and every array comes from the
-   arena, so a call allocates almost nothing. *)
-let schedule_length_fast ~slack ~bus problem design =
-  Scratch.with_arena @@ fun arena ->
+   no entry or message records are built, every array comes from the
+   arena and the placement runs inline in the pop loop, so a call
+   allocates no closure and, on an FCFS bus, no bus state. *)
+let schedule_length_fast arena ~slack ~bus problem design =
   let graph = Problem.graph problem in
   let n = Task_graph.n graph in
   validate_slack ~slack n;
   let members = Design.n_members design in
+  Bus.validate bus ~members;
   let mu = problem.Problem.app.Ftes_model.Application.recovery_overhead_ms in
   let mapping = design.Design.mapping in
-  let k slot = design.Design.reexecs.(slot) in
+  let reexecs = design.Design.reexecs in
   let wcet = Scratch.floats arena ~slot:0 ~n in
   Design.wcet_into problem design ~out:wcet;
-  let prio = priorities_memo problem design ~wcet in
+  Ftes_obs.Metrics.incr c_priority_passes;
+  let prio = Scratch.floats arena ~slot:8 ~n in
+  Task_graph.bottom_levels_wcet_into graph ~wcet ~mapping ~out:prio;
   let node_avail = Scratch.floats arena ~slot:1 ~n:members in
   let max_exec = Scratch.floats arena ~slot:2 ~n:members in
   let max_recovery = Scratch.floats arena ~slot:3 ~n:members in
@@ -484,79 +405,38 @@ let schedule_length_fast ~slack ~bus problem design =
   Array.fill last_commit 0 members 0.0;
   Array.fill arrival 0 n 0.0;
   Array.fill node_finish 0 members 0.0;
-  let bus_state = Bus.create bus ~members in
+  (* An FCFS bus is one float of state (its next free instant); it
+     lives in an arena cell so the booking runs inline without boxing —
+     same [max]/[+.] sequence as [Bus.transmit], whose validation is
+     unreachable here (commit times are finite and non-negative by
+     construction, transmission times are validated at graph build).
+     Only TDMA builds a [Bus.t], for the shared slot walk. *)
+  let tdma =
+    match bus with
+    | Bus.Fcfs -> None
+    | Bus.Tdma _ -> Some (Bus.create bus ~members)
+  in
+  let bus_free = Scratch.floats arena ~slot:7 ~n:1 in
+  bus_free.(0) <- 0.0;
   let remaining_preds = Scratch.ints arena ~slot:0 ~n in
   Task_graph.in_degrees_into graph remaining_preds;
   let heap = Scratch.ints arena ~slot:1 ~n in
   let heap_len = ref 0 in
-  (* Pop order: highest priority first, ties to the lower index — the
-     same argmax the reference scan computes.  The comparator is
-     written out at each use so the sift loops run without closure
-     calls on their hottest comparisons. *)
-  let push p =
-    heap.(!heap_len) <- p;
-    let i = ref !heap_len in
-    incr heap_len;
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      let a = heap.(!i) and b = heap.(parent) in
-      if prio.(a) > prio.(b) || (prio.(a) = prio.(b) && a < b) then begin
-        heap.(parent) <- a;
-        heap.(!i) <- b;
-        i := parent
-      end
-      else continue := false
-    done
-  in
-  let pop () =
-    let top = heap.(0) in
-    decr heap_len;
-    heap.(0) <- heap.(!heap_len);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      let r = l + 1 in
-      let best = ref !i in
-      if l < !heap_len then begin
-        let a = heap.(l) and b = heap.(!best) in
-        if prio.(a) > prio.(b) || (prio.(a) = prio.(b) && a < b) then
-          best := l
-      end;
-      if r < !heap_len then begin
-        let a = heap.(r) and b = heap.(!best) in
-        if prio.(a) > prio.(b) || (prio.(a) = prio.(b) && a < b) then
-          best := r
-      end;
-      if !best = !i then continue := false
-      else begin
-        let tmp = heap.(!best) in
-        heap.(!best) <- heap.(!i);
-        heap.(!i) <- tmp;
-        i := !best
-      end
-    done;
-    top
-  in
   for p = 0 to n - 1 do
-    if remaining_preds.(p) = 0 then push p
+    if remaining_preds.(p) = 0 then begin
+      heap_push heap prio !heap_len p;
+      incr heap_len
+    end
   done;
   (* The successor-release walk runs over the graph's CSR adjacency —
      same edges in the same order as the reference's [List.iter] over
-     [succs], on contiguous arrays.  An FCFS bus is one float of state
-     (its next free instant); it lives in an arena cell so the booking
-     runs inline without boxing — same [max]/[+.] sequence as
-     [Bus.transmit], whose validation is unreachable here (commit
-     times are finite and non-negative by construction, transmission
-     times are validated at graph build).  TDMA keeps the shared slot
-     walk in [Bus]. *)
+     [succs], on contiguous arrays. *)
   let succ_off = Task_graph.succ_offsets graph in
   let succ_dst = Task_graph.succ_dsts graph in
   let succ_tx = Task_graph.succ_txs graph in
-  let bus_free = Scratch.floats arena ~slot:7 ~n:1 in
-  bus_free.(0) <- 0.0;
-  let place p =
+  for _ = 1 to n do
+    let p = heap_pop heap prio !heap_len in
+    decr heap_len;
     let slot = mapping.(p) in
     let raw_t = wcet.(p) in
     (* Split the reference's (t, recovery) pair to avoid the tuple; the
@@ -581,8 +461,9 @@ let schedule_length_fast ~slack ~bus problem design =
       match slack with
       | Shared -> finish
       | Conservative ->
-          finish +. (float_of_int (k slot) *. (max_exec.(slot) +. mu))
-      | Dedicated -> finish +. (float_of_int (k slot) *. (t +. mu))
+          finish
+          +. (float_of_int reexecs.(slot) *. (max_exec.(slot) +. mu))
+      | Dedicated -> finish +. (float_of_int reexecs.(slot) *. (t +. mu))
       | Per_process budgets ->
           finish +. (float_of_int budgets.(p) *. (t +. mu))
       | Checkpointed _ -> finish
@@ -598,40 +479,37 @@ let schedule_length_fast ~slack ~bus problem design =
       let arrive =
         if mapping.(d) = slot then finish
         else begin
-          match bus with
-          | Bus.Fcfs ->
+          match tdma with
+          | None ->
               let bus_start = Float.max bus_free.(0) commit in
               let bus_finish = bus_start +. succ_tx.(ei) in
               bus_free.(0) <- bus_finish;
               bus_finish
-          | Bus.Tdma _ ->
+          | Some bus_state ->
               Bus.transmit_finish bus_state ~member:slot ~ready:commit
                 ~duration:succ_tx.(ei)
         end
       in
       if arrive > arrival.(d) then arrival.(d) <- arrive;
       remaining_preds.(d) <- remaining_preds.(d) - 1;
-      if remaining_preds.(d) = 0 then push d
+      if remaining_preds.(d) = 0 then begin
+        heap_push heap prio !heap_len d;
+        incr heap_len
+      end
     done
-  in
-  for _ = 1 to n do
-    place (pop ())
   done;
   Ftes_obs.Metrics.incr c_slack_recomputations;
   let length = ref 0.0 in
   for slot = 0 to members - 1 do
+    let k = float_of_int reexecs.(slot) in
     let worst =
       match slack with
       | Shared | Conservative ->
           if max_exec.(slot) = 0.0 then node_finish.(slot)
-          else
-            node_finish.(slot)
-            +. (float_of_int (k slot) *. (max_exec.(slot) +. mu))
+          else node_finish.(slot) +. (k *. (max_exec.(slot) +. mu))
       | Checkpointed _ ->
           if max_recovery.(slot) = 0.0 then node_finish.(slot)
-          else
-            node_finish.(slot)
-            +. (float_of_int (k slot) *. (max_recovery.(slot) +. mu))
+          else node_finish.(slot) +. (k *. (max_recovery.(slot) +. mu))
       | Dedicated | Per_process _ -> last_commit.(slot)
     in
     length := Float.max !length worst
@@ -642,7 +520,7 @@ let schedule ?(slack = Shared) ?(bus = Bus.Fcfs) problem design =
   Ftes_obs.Metrics.incr c_schedules;
   Ftes_obs.Span.with_ ~name:"sched/schedule" (fun () ->
       if Ftes_util.Kernel.incremental () then
-        schedule_fast ~slack ~bus problem design
+        with_arena schedule_fast ~slack ~bus problem design
       else schedule_impl ~slack ~bus problem design)
 
 let schedule_reference ?(slack = Shared) ?(bus = Bus.Fcfs) problem design =
@@ -654,7 +532,7 @@ let schedule_length ?(slack = Shared) ?(bus = Bus.Fcfs) problem design =
   if Ftes_util.Kernel.incremental () then begin
     Ftes_obs.Metrics.incr c_schedules;
     Ftes_obs.Span.with_ ~name:"sched/schedule" (fun () ->
-        schedule_length_fast ~slack ~bus problem design)
+        with_arena schedule_length_fast ~slack ~bus problem design)
   end
   else Schedule.length (schedule ~slack ~bus problem design)
 

@@ -61,9 +61,10 @@ val schedule :
 
     Under {!Ftes_util.Kernel.Incremental} (the default) the ready set
     lives in a binary heap ordered (priority desc, index asc) — the
-    exact argmax of the reference rescan — priority vectors are served
-    from a per-domain memo ring, and short-lived working arrays come
-    from the domain's {!Scratch} arena.  The resulting schedule is
+    exact argmax of the reference rescan — priorities come from one
+    {!Ftes_model.Task_graph.bottom_levels_wcet_into} pass over the CSR
+    adjacency, and short-lived working arrays come from the domain's
+    {!Scratch} arena.  The resulting schedule is
     bit-identical to {!schedule_reference} for every slack and bus
     policy. *)
 
@@ -82,7 +83,9 @@ val schedule_length :
   Ftes_model.Problem.t ->
   Ftes_model.Design.t ->
   float
-(** Worst-case schedule length [SL] of {!schedule}. *)
+(** Worst-case schedule length [SL] of {!schedule}.  Under the
+    incremental kernel it takes a length-only path that builds no
+    records, no closures and, on an FCFS bus, no bus state. *)
 
 val is_schedulable :
   ?slack:slack_mode ->

@@ -3,34 +3,34 @@
    acquisition on the same domain falls back to a throwaway arena so
    re-entrancy can never alias live scratch. *)
 
-let n_float_slots = 8
+let n_float_slots = 9
 
-let n_int_slots = 4
-
-let n_bool_slots = 2
+let n_int_slots = 2
 
 type t = {
   mutable busy : bool;
   floats : float array array;
   ints : int array array;
-  bools : bool array array;
 }
 
 let create () =
   { busy = false;
     floats = Array.make n_float_slots [||];
-    ints = Array.make n_int_slots [||];
-    bools = Array.make n_bool_slots [||] }
+    ints = Array.make n_int_slots [||] }
 
 let key = Domain.DLS.new_key create
 
-let with_arena f =
+let acquire () =
   let arena = Domain.DLS.get key in
-  if arena.busy then f (create ())
+  if arena.busy then create ()
   else begin
     arena.busy <- true;
-    Fun.protect ~finally:(fun () -> arena.busy <- false) (fun () -> f arena)
+    arena
   end
+
+(* A throwaway arena is never busy, so clearing the flag only ever
+   releases the domain's own arena. *)
+let release arena = arena.busy <- false
 
 let rounded n =
   let c = ref 16 in
@@ -51,8 +51,3 @@ let ints t ~slot ~n =
   if Array.length t.ints.(slot) < n then
     t.ints.(slot) <- Array.make (rounded n) 0;
   t.ints.(slot)
-
-let bools t ~slot ~n =
-  if Array.length t.bools.(slot) < n then
-    t.bools.(slot) <- Array.make (rounded n) false;
-  t.bools.(slot)

@@ -61,9 +61,9 @@ let system_failure t ~k =
   if Array.length k <> Array.length t.exceed then
     invalid_arg "Incremental.system_failure: length mismatch";
   let survive = ref 1.0 in
-  Array.iteri
-    (fun j v -> survive := !survive *. (1.0 -. v.(k.(j))))
-    t.exceed;
+  for j = 0 to Array.length k - 1 do
+    survive := !survive *. (1.0 -. t.exceed.(j).(k.(j)))
+  done;
   Rounding.clamp01 (Rounding.up (1.0 -. !survive))
 
 let prefix_into t ~k prefix =

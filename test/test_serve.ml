@@ -577,6 +577,46 @@ let test_whatif_daemon_rejects () =
       Alcotest.(check bool) "error explains the missing resolver" true
         (Helpers.contains e "resident")
 
+(* A closed-loop client sends one request and waits for its answer
+   before sending the next: under the default batch size the daemon
+   must answer while the request pipe is still open, not wait for more
+   lines or EOF. *)
+let test_serve_answers_before_eof () =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+  let server =
+    Domain.spawn (fun () ->
+        let oc = Unix.out_channel_of_descr resp_w in
+        let stats =
+          Daemon.serve ~max_batch:16 (Unix.in_channel_of_descr req_r) oc
+        in
+        close_out oc;
+        stats)
+  in
+  let line =
+    Request.to_string
+      (ok_exn (Request.make ~id:"solo" Request.Analyze (`Example "fig1")))
+    ^ "\n"
+  in
+  ignore (Unix.write_substring req_w line 0 (String.length line));
+  let answered =
+    match Unix.select [ resp_r ] [] [] 30.0 with
+    | [], _, _ -> false
+    | _ :: _, _, _ -> true
+  in
+  let ic = Unix.in_channel_of_descr resp_r in
+  let response = if answered then In_channel.input_line ic else None in
+  Unix.close req_w;
+  let stats = Domain.join server in
+  Alcotest.(check bool) "answered before EOF" true answered;
+  (match Option.map Response.of_string response with
+  | Some (Ok r) -> Alcotest.(check string) "response id" "solo" r.Response.id
+  | Some (Error e) -> Alcotest.failf "unparseable response: %s" e
+  | None -> Alcotest.fail "no response line");
+  Alcotest.(check int) "one request" 1 stats.Daemon.requests;
+  Alcotest.(check int) "one batch" 1 stats.Daemon.batches;
+  close_in ic
+
 (* The daemon's own self-test must agree with the rules it audits. *)
 let test_daemon_audit () =
   let responses, report = Daemon.audit () in
@@ -597,7 +637,9 @@ let () =
         [ Alcotest.test_case "1:1, ordered, concurrent pool" `Quick
             test_order_under_pool;
           Alcotest.test_case "malformed lines get structured errors" `Quick
-            test_malformed_lines_survive ] );
+            test_malformed_lines_survive;
+          Alcotest.test_case "closed-loop request answered before EOF"
+            `Quick test_serve_answers_before_eof ] );
       ( "verdicts",
         [ Alcotest.test_case "proven-infeasible surfaces as a verdict" `Quick
             test_infeasible_verdict;
