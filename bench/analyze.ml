@@ -21,23 +21,15 @@
    rewrites results/bench_analyze.csv. *)
 
 module Json = Ftes_util.Json
-module Csv = Ftes_util.Csv
 module Config = Ftes_core.Config
 module Synthetic = Ftes_exp.Synthetic
 module Workload = Ftes_gen.Workload
 module Metrics = Ftes_obs.Metrics
 module Preflight = Ftes_analyze.Preflight
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt v with Some i -> i | None -> default)
-  | None -> default
-
-let quick = Sys.getenv_opt "FTES_QUICK" <> None
+open Harness
 
 let apps = env_int "FTES_APPS" (if quick then 8 else 24)
-
-let seed = env_int "FTES_SEED" 42
 
 let counter name snapshot =
   Option.value ~default:0 (List.assoc_opt name snapshot.Metrics.counters)
@@ -139,34 +131,6 @@ let json_of_stats stats =
         ("infeasible_apps", Json.Number (float_of_int stats.infeasible_apps));
         ("identical", Json.Bool stats.identical) ] )
 
-let results_dir = "results"
-
-let ensure_results_dir () =
-  try Sys.mkdir results_dir 0o755 with Sys_error _ -> ()
-
-let trajectory_path = "BENCH_analyze.json"
-
-let append_trajectory record =
-  let existing =
-    if Sys.file_exists trajectory_path then begin
-      let ic = open_in_bin trajectory_path in
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      close_in ic;
-      match Json.of_string text with
-      | Ok (Json.List runs) -> runs
-      | Ok _ | Error _ -> []
-    end
-    else []
-  in
-  let oc = open_out trajectory_path in
-  output_string oc (Json.to_string (Json.List (existing @ [ record ])));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[json] appended run %d to %s\n%!"
-    (List.length existing + 1)
-    trajectory_path
-
 let () =
   Printf.printf
     "Analyze benchmark: pre-flight latency and pruned-vs-plain cells\n\
@@ -186,15 +150,12 @@ let () =
   let skipped s = s.pruned_assignments + s.pruned_architectures in
   if List.fold_left (fun acc s -> acc + skipped s) 0 corners = 0 then
     failwith "bench_analyze: pre-flight pruning never fired";
-  ensure_results_dir ();
-  let csv_path = Filename.concat results_dir "bench_analyze.csv" in
-  Csv.write_file csv_path
+  save_csv "bench_analyze.csv"
     ([ "cell"; "apps"; "seed"; "quick"; "plain_wall_s"; "pruned_wall_s";
        "pruned_assignments"; "pruned_architectures"; "mean_preflight_s";
        "max_preflight_s"; "infeasible_apps"; "identical" ]
      :: List.map csv_row corners);
-  Printf.printf "[csv] wrote %s\n%!" csv_path;
-  append_trajectory
+  append_trajectory "BENCH_analyze.json"
     (Json.Object
        ([ ("timestamp", Json.Number (Unix.time ()));
           ("apps", Json.Number (float_of_int apps));

@@ -21,7 +21,6 @@
    rewrites results/bench_bnb.csv. *)
 
 module Json = Ftes_util.Json
-module Csv = Ftes_util.Csv
 module Config = Ftes_core.Config
 module Workload = Ftes_gen.Workload
 module Redundancy_opt = Ftes_core.Redundancy_opt
@@ -29,14 +28,7 @@ module Bnb = Ftes_bnb.Bnb
 module Cert = Ftes_analyze.Bnb_certificate
 module Report = Ftes_verify.Report
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt v with Some i -> i | None -> default)
-  | None -> default
-
-let quick = Sys.getenv_opt "FTES_QUICK" <> None
-
-let seed = env_int "FTES_SEED" 42
+open Harness
 
 (* Candidate budgets: the reference enumeration gets the same cap as
    its in-library default; the branch-and-bound cap is a tripwire (a
@@ -214,34 +206,6 @@ let json_of_row row =
         int "evaluated" c.Cert.evaluated;
         int "pruned" (prunes c) ] )
 
-let results_dir = "results"
-
-let ensure_results_dir () =
-  try Sys.mkdir results_dir 0o755 with Sys_error _ -> ()
-
-let trajectory_path = "BENCH_bnb.json"
-
-let append_trajectory record =
-  let existing =
-    if Sys.file_exists trajectory_path then begin
-      let ic = open_in_bin trajectory_path in
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      close_in ic;
-      match Json.of_string text with
-      | Ok (Json.List runs) -> runs
-      | Ok _ | Error _ -> []
-    end
-    else []
-  in
-  let oc = open_out trajectory_path in
-  output_string oc (Json.to_string (Json.List (existing @ [ record ])));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[json] appended run %d to %s\n%!"
-    (List.length existing + 1)
-    trajectory_path
-
 let () =
   Printf.printf
     "Branch-and-bound benchmark: solved-size frontier vs Exhaustive\n\
@@ -279,16 +243,13 @@ let () =
        twice the exhaustive frontier";
   if List.for_all (fun row -> prunes row.counters = 0) rows then
     failwith "bench_bnb: pruning never fired on any rung";
-  ensure_results_dir ();
-  let csv_path = Filename.concat results_dir "bench_bnb.csv" in
-  Csv.write_file csv_path
+  save_csv "bench_bnb.csv"
     ([ "rung"; "n"; "lib"; "levels"; "seed"; "quick"; "space";
        "exhaustive_wall_s"; "bnb_wall_s"; "optimal_cost"; "gap"; "expanded";
        "closed"; "evaluated"; "pruned_cost"; "pruned_arch";
        "pruned_symmetry"; "pruned_levels"; "pruned_mappings"; "prune_rate" ]
      :: List.map csv_row rows);
-  Printf.printf "[csv] wrote %s\n%!" csv_path;
-  append_trajectory
+  append_trajectory "BENCH_bnb.json"
     (Json.Object
        ([ ("timestamp", Json.Number (Unix.time ()));
           ("seed", Json.Number (float_of_int seed));

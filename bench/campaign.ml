@@ -26,23 +26,15 @@
    (created on first use) and rewrites results/bench_campaign.csv. *)
 
 module Json = Ftes_util.Json
-module Csv = Ftes_util.Csv
 module Config = Ftes_core.Config
 module Manifest = Ftes_campaign.Manifest
 module Checkpoint = Ftes_campaign.Checkpoint
 module Runner = Ftes_campaign.Runner
 module Merge = Ftes_campaign.Merge
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt v with Some i -> i | None -> default)
-  | None -> default
-
-let quick = Sys.getenv_opt "FTES_QUICK" <> None
+open Harness
 
 let apps = env_int "FTES_APPS" (if quick then 12 else 1_500)
-
-let seed = env_int "FTES_SEED" 42
 
 let jobs = env_int "FTES_JOBS" 4
 
@@ -90,34 +82,6 @@ let require label = function
                  failed)))
 
 (* --- result files --- *)
-
-let results_dir = "results"
-
-let ensure_results_dir () =
-  try Sys.mkdir results_dir 0o755 with Sys_error _ -> ()
-
-let trajectory_path = "BENCH_campaign.json"
-
-let append_trajectory record =
-  let existing =
-    if Sys.file_exists trajectory_path then begin
-      let ic = open_in_bin trajectory_path in
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      close_in ic;
-      match Json.of_string text with
-      | Ok (Json.List runs) -> runs
-      | Ok _ | Error _ -> []
-    end
-    else []
-  in
-  let oc = open_out trajectory_path in
-  output_string oc (Json.to_string (Json.List (existing @ [ record ])));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[json] appended run %d to %s\n%!"
-    (List.length existing + 1)
-    trajectory_path
 
 let () =
   let manifest =
@@ -177,9 +141,7 @@ let () =
      speedup %.2fx, resume overhead %.1f%% of the sharded wall\n%!"
     fingerprint speedup
     (100.0 *. resume_wall /. Float.max 1e-9 sharded_wall);
-  ensure_results_dir ();
-  let csv_path = Filename.concat results_dir "bench_campaign.csv" in
-  Csv.write_file csv_path
+  save_csv "bench_campaign.csv"
     [ [ "apps"; "shards"; "jobs"; "seed"; "quick"; "seq_wall_s";
         "sharded_wall_s"; "speedup"; "resume_wall_s"; "resume_executed";
         "resume_skipped"; "fingerprint" ];
@@ -195,8 +157,7 @@ let () =
         string_of_int resumed.Runner.executed;
         string_of_int resumed.Runner.skipped;
         fingerprint ] ];
-  Printf.printf "[csv] wrote %s\n%!" csv_path;
-  append_trajectory
+  append_trajectory "BENCH_campaign.json"
     (Json.Object
        [ ("bench", Json.String "campaign");
          ("apps", Json.Number (float_of_int apps));

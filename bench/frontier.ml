@@ -21,7 +21,6 @@
    (created on first use) and rewrites results/bench_frontier.csv. *)
 
 module Json = Ftes_util.Json
-module Csv = Ftes_util.Csv
 module Problem = Ftes_model.Problem
 module Config = Ftes_core.Config
 module Design_strategy = Ftes_core.Design_strategy
@@ -29,16 +28,9 @@ module Redundancy_opt = Ftes_core.Redundancy_opt
 module Archive = Ftes_pareto.Archive
 module Cruise_control = Ftes_cc.Cruise_control
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt v with Some i -> i | None -> default)
-  | None -> default
-
-let quick = Sys.getenv_opt "FTES_QUICK" <> None
+open Harness
 
 let n_points = env_int "FTES_POINTS" (if quick then 2_000 else 10_000)
-
-let seed = env_int "FTES_SEED" 42
 
 let reps = max 1 (env_int "FTES_REPS" 3)
 
@@ -83,34 +75,6 @@ let reference problem =
   { Archive.ref_cost = !total +. 1.0; ref_slack = 0.0; ref_margin = 0.0 }
 
 (* --- result files --- *)
-
-let results_dir = "results"
-
-let ensure_results_dir () =
-  try Sys.mkdir results_dir 0o755 with Sys_error _ -> ()
-
-let trajectory_path = "BENCH_frontier.json"
-
-let append_trajectory record =
-  let existing =
-    if Sys.file_exists trajectory_path then begin
-      let ic = open_in_bin trajectory_path in
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      close_in ic;
-      match Json.of_string text with
-      | Ok (Json.List runs) -> runs
-      | Ok _ | Error _ -> []
-    end
-    else []
-  in
-  let oc = open_out trajectory_path in
-  output_string oc (Json.to_string (Json.List (existing @ [ record ])));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[json] appended run %d to %s\n%!"
-    (List.length existing + 1)
-    trajectory_path
 
 let () =
   Printf.printf
@@ -176,9 +140,7 @@ let () =
     \             eps %g %.4fs (%.0f pts/s, %d boxes, hv %.4g)\n%!"
     exact_wall (rate exact_wall) (Archive.size exact) exact_hv grid_eps
     grid_wall (rate grid_wall) (Archive.size grid) grid_hv;
-  ensure_results_dir ();
-  let csv_path = Filename.concat results_dir "bench_frontier.csv" in
-  Csv.write_file csv_path
+  save_csv "bench_frontier.csv"
     [ [ "points"; "seed"; "quick"; "exact_wall_s"; "exact_rate";
         "exact_boxes"; "grid_eps"; "grid_wall_s"; "grid_rate"; "grid_boxes";
         "frontier_wall_s"; "run_wall_s"; "explored"; "frontier_points";
@@ -199,8 +161,7 @@ let () =
         string_of_int stats.Archive.boxes;
         Printf.sprintf "%.6g" hv;
         string_of_bool identical ] ];
-  Printf.printf "[csv] wrote %s\n%!" csv_path;
-  append_trajectory
+  append_trajectory "BENCH_frontier.json"
     (Json.Object
        [ ("timestamp", Json.Number (Unix.time ()));
          ("points", Json.Number (float_of_int n_points));

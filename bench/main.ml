@@ -12,7 +12,6 @@
 module Synthetic = Ftes_exp.Synthetic
 module Figures = Ftes_exp.Figures
 module Ablations = Ftes_exp.Ablations
-module Csv = Ftes_util.Csv
 module Config = Ftes_core.Config
 module Redundancy_opt = Ftes_core.Redundancy_opt
 module Workload = Ftes_gen.Workload
@@ -23,32 +22,11 @@ module Sink = Ftes_obs.Sink
 module Metrics = Ftes_obs.Metrics
 module Obs_report = Ftes_obs.Report
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt v with Some i -> i | None -> default)
-  | None -> default
+open Harness
 
 let env_flag name = Sys.getenv_opt name <> None
 
-let quick = env_flag "FTES_QUICK"
-
 let apps = env_int "FTES_APPS" (if quick then 40 else 150)
-
-let seed = env_int "FTES_SEED" 42
-
-let results_dir = "results"
-
-(* mkdir first and treat EEXIST as success: the old exists-then-create
-   sequence raced against concurrent harness invocations sharing one
-   results directory. *)
-let ensure_results_dir () =
-  try Sys.mkdir results_dir 0o755 with Sys_error _ -> ()
-
-let save_csv name rows =
-  ensure_results_dir ();
-  let path = Filename.concat results_dir name in
-  Csv.write_file path rows;
-  Printf.printf "[csv] wrote %s\n%!" path
 
 let section title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')

@@ -24,7 +24,6 @@
    results/bench_serve.csv. *)
 
 module Json = Ftes_util.Json
-module Csv = Ftes_util.Csv
 module Scheduler = Ftes_sched.Scheduler
 module Bus = Ftes_sched.Bus
 module Workload = Ftes_gen.Workload
@@ -37,14 +36,7 @@ module Response = Ftes_driver.Response
 module Exec = Ftes_driver.Exec
 module Daemon = Ftes_driver.Daemon
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt v with Some i -> i | None -> default)
-  | None -> default
-
-let quick = Sys.getenv_opt "FTES_QUICK" <> None
-
-let seed = env_int "FTES_SEED" 42
+open Harness
 
 let n_requests = env_int "FTES_REQUESTS" (if quick then 24 else 240)
 
@@ -268,8 +260,6 @@ let () =
     n_requests;
 
   (* results/bench_serve.csv: one row per request. *)
-  let results_dir = "results" in
-  (try Sys.mkdir results_dir 0o755 with Sys_error _ -> ());
   let rows =
     List.map2
       (fun (req, (_, cold_wall_s)) (daemon_resp, warm_wall_s) ->
@@ -284,27 +274,12 @@ let () =
       (List.combine requests cold)
       (List.combine warm warm_walls)
   in
-  let csv_path = Filename.concat results_dir "bench_serve.csv" in
-  Csv.write_file csv_path
+  save_csv "bench_serve.csv"
     ([ "id"; "command"; "strategy"; "subject"; "verdict"; "cold_wall_s";
        "warm_wall_s"; "fingerprint" ]
     :: rows);
-  Printf.printf "[csv] wrote %s\n%!" csv_path;
 
   (* BENCH_serve.json: append this run to the trajectory. *)
-  let trajectory_path = "BENCH_serve.json" in
-  let existing =
-    if Sys.file_exists trajectory_path then begin
-      let ic = open_in_bin trajectory_path in
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      close_in ic;
-      match Json.of_string text with
-      | Ok (Json.List runs) -> runs
-      | Ok _ | Error _ -> []
-    end
-    else []
-  in
   let num v = Json.Number v in
   let int v = Json.Number (float_of_int v) in
   let pass total_s rps (p50, p95, p99) =
@@ -341,10 +316,4 @@ let () =
           Json.Object [ ("hits", int sfp_hits); ("misses", int sfp_misses) ]
         ) ]
   in
-  let oc = open_out trajectory_path in
-  output_string oc (Json.to_string (Json.List (existing @ [ record ])));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[json] appended run %d to %s\n%!"
-    (List.length existing + 1)
-    trajectory_path
+  append_trajectory "BENCH_serve.json" record

@@ -22,7 +22,6 @@
    rewrites results/bench_whatif.csv. *)
 
 module Json = Ftes_util.Json
-module Csv = Ftes_util.Csv
 module Prng = Ftes_util.Prng
 module Problem = Ftes_model.Problem
 module Application = Ftes_model.Application
@@ -36,14 +35,7 @@ module Preflight = Ftes_analyze.Preflight
 module Delta = Ftes_whatif.Delta
 module Reuse = Ftes_whatif.Reuse
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt v with Some i -> i | None -> default)
-  | None -> default
-
-let quick = Sys.getenv_opt "FTES_QUICK" <> None
-
-let seed = env_int "FTES_SEED" 42
+open Harness
 
 let reps = env_int "FTES_REPS" (if quick then 1 else 3)
 
@@ -343,10 +335,7 @@ let () =
       p50_eligible;
 
   (* results/bench_whatif.csv: one row per delta. *)
-  let results_dir = "results" in
-  (try Sys.mkdir results_dir 0o755 with Sys_error _ -> ());
-  let csv_path = Filename.concat results_dir "bench_whatif.csv" in
-  Csv.write_file csv_path
+  save_csv "bench_whatif.csv"
     ([ "problem"; "class"; "cold_s"; "warm_s"; "speedup"; "sfp_kept";
        "sfp_dropped"; "evals_kept"; "evals_dropped"; "probes_kept";
        "probes_dropped"; "steps_replayed"; "steps_total"; "preflight_reused";
@@ -369,23 +358,9 @@ let () =
              string_of_bool r.row_reuse.Reuse.preflight_reused;
              "identical" ])
          rows);
-  Printf.printf "[csv] wrote %s\n%!" csv_path;
 
   (* BENCH_whatif.json: append this run to the trajectory (same
      timestamp/seed/quick schema as BENCH_serve.json). *)
-  let trajectory_path = "BENCH_whatif.json" in
-  let existing =
-    if Sys.file_exists trajectory_path then begin
-      let ic = open_in_bin trajectory_path in
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      close_in ic;
-      match Json.of_string text with
-      | Ok (Json.List runs) -> runs
-      | Ok _ | Error _ -> []
-    end
-    else []
-  in
   let num v = Json.Number v in
   let int v = Json.Number (float_of_int v) in
   let record =
@@ -411,10 +386,4 @@ let () =
               ("evals_kept_rate", num eval_rate);
               ("trail_replay_rate", num replay_rate) ] ) ]
   in
-  let oc = open_out trajectory_path in
-  output_string oc (Json.to_string (Json.List (existing @ [ record ])));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[json] appended run %d to %s\n%!"
-    (List.length existing + 1)
-    trajectory_path
+  append_trajectory "BENCH_whatif.json" record

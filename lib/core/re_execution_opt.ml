@@ -10,58 +10,10 @@ let c_grow_exp_elided = Ftes_obs.Metrics.counter "kernel.grow_exp_elided"
 
 type accepted = { reexecs : int array; per_iteration_failure : float }
 
-let search_reference ?cache ?(kmax = Sfp.default_kmax) problem design =
-  let members = Design.n_members design in
-  let analyse member =
-    match cache with
-    | Some cache ->
-        Ftes_par.Sfp_cache.node_analysis cache problem design ~member ~kmax
-    | None ->
-        Sfp.node_analysis ~kmax (Design.pfail_vector problem design ~member)
-  in
-  let analyses = Array.init members analyse in
-  let app = problem.Problem.app in
-  let iterations = Application.iterations_per_hour app in
-  let goal = Application.reliability_goal app in
-  let k = Array.make members 0 in
-  let failure_of k = Sfp.system_failure_per_iteration analyses ~k in
-  let reliability_of pf =
-    Sfp.reliability ~per_iteration_failure:pf ~iterations_per_hour:iterations
-  in
-  (* Greedy ascent: always spend the next re-execution where it buys the
-     most system reliability; [pf] is the failure of the current [k]. *)
-  let rec grow pf current =
-    if current >= goal then
-      Some { reexecs = Array.copy k; per_iteration_failure = pf }
-    else begin
-      let best = ref None in
-      for j = 0 to members - 1 do
-        if k.(j) < kmax then begin
-          k.(j) <- k.(j) + 1;
-          let pf = failure_of k in
-          let r = reliability_of pf in
-          k.(j) <- k.(j) - 1;
-          match !best with
-          | Some (_, br, _) when br >= r -> ()
-          | Some _ | None -> best := Some (j, r, pf)
-        end
-      done;
-      match !best with
-      | None -> None
-      | Some (j, r, pf) when r > current ->
-          k.(j) <- k.(j) + 1;
-          grow pf r
-      | Some _ ->
-          (* No increment improves reliability any further: the goal is
-             unreachable at these hardening levels. *)
-          None
-    end
-  in
-  let pf = failure_of k in
-  grow pf (reliability_of pf)
-
-(* Incremental variant of the same ascent.  Three accelerations, each
-   preserving every float the reference produces (see DESIGN.md §10):
+(* Greedy ascent: always spend the next re-execution where it buys the
+   most system reliability.  Three accelerations over a from-scratch
+   re-analysis per candidate, each preserving every float it produces
+   (see DESIGN.md §10):
 
    - candidates are evaluated over the cached per-node exceedance
      tables with the shared fold prefix of formula (5) reused across
@@ -69,15 +21,14 @@ let search_reference ?cache ?(kmax = Sfp.default_kmax) problem design =
    - a candidate whose node is saturated ([Incremental.saturated]) is
      skipped: its bumped failure equals the current one bit-for-bit, so
      it can never win the strict acceptance test, and when every
-     candidate ties the reference returns [None] just the same;
+     candidate ties the ascent stops (returns [None]) just the same;
    - formula (6)'s exponentiation runs only when a candidate's
      per-iteration failure is strictly below the best one seen this
      sweep.  Reliability is monotone non-increasing in the failure
      probability (each composed operation is monotone under rounding),
      so a candidate at or above the running minimum evaluates to at
-     most the best reliability and the reference's [br >= r] arm would
-     keep the incumbent anyway. *)
-let search_incremental ?cache ?(kmax = Sfp.default_kmax) problem design =
+     most the best reliability and would not displace the incumbent. *)
+let ascend ?cache ?(kmax = Sfp.default_kmax) problem design =
   let members = Design.n_members design in
   let vectors_of member =
     match cache with
@@ -106,11 +57,11 @@ let search_incremental ?cache ?(kmax = Sfp.default_kmax) problem design =
           per_iteration_failure = Incremental.system_failure inc ~k }
     else begin
       Incremental.prefix_into inc ~k prefix;
-      (* Sweep state as plain refs (unboxed locals): [best_j < 0] plays
-         the reference's [None]; acceptance [r > best_r] is exactly the
-         negation of its [br >= r] keep-incumbent arm.  [best_pf] is
-         the smallest candidate failure whose reliability is already
-         folded in; candidates at or above it cannot displace it. *)
+      (* Sweep state as plain refs (unboxed locals): [best_j < 0] means
+         no candidate yet; acceptance is strict ([r > best_r]), so ties
+         keep the lowest member.  [best_pf] is the smallest candidate
+         failure whose reliability is already folded in; candidates at
+         or above it cannot displace it. *)
       let best_j = ref (-1) in
       let best_r = ref neg_infinity in
       let best_pf = ref infinity in
@@ -152,17 +103,10 @@ let search_incremental ?cache ?(kmax = Sfp.default_kmax) problem design =
 
 let search ?cache ?kmax problem design =
   Ftes_obs.Span.with_ ~name:"opt/reexec" (fun () ->
-      if Ftes_util.Kernel.incremental () then
-        search_incremental ?cache ?kmax problem design
-      else search_reference ?cache ?kmax problem design)
-
-let reexecs_of accepted = Option.map (fun a -> a.reexecs) accepted
+      ascend ?cache ?kmax problem design)
 
 let for_mapping ?cache ?kmax problem design =
-  reexecs_of (search ?cache ?kmax problem design)
-
-let for_mapping_reference ?cache ?kmax problem design =
-  reexecs_of (search_reference ?cache ?kmax problem design)
+  Option.map (fun a -> a.reexecs) (search ?cache ?kmax problem design)
 
 let optimize ?cache ?kmax problem design =
   Option.map

@@ -30,11 +30,11 @@ val search :
     tables are served from it (bit-identical to fresh computation).
     Runs under the [opt/reexec] span.
 
-    Under {!Ftes_util.Kernel.Incremental} (the default) the ascent runs
-    over cached exceedance tables ({!Ftes_sfp.Incremental}) with shared
-    fold prefixes, saturation skips and elided exponentiations; the
-    result — and every float compared along the way — is bit-identical
-    to the reference ascent. *)
+    The ascent runs over cached exceedance tables
+    ({!Ftes_sfp.Incremental}) with shared fold prefixes, saturation
+    skips and elided exponentiations; the result — and every float
+    compared along the way — is bit-identical to re-analysing every
+    candidate from scratch with {!Ftes_sfp.Sfp}. *)
 
 val for_mapping :
   ?cache:Ftes_par.Sfp_cache.t ->
@@ -43,15 +43,6 @@ val for_mapping :
   Ftes_model.Design.t ->
   int array option
 (** The re-execution vector of {!search}. *)
-
-val for_mapping_reference :
-  ?cache:Ftes_par.Sfp_cache.t ->
-  ?kmax:int ->
-  Ftes_model.Problem.t ->
-  Ftes_model.Design.t ->
-  int array option
-(** The original from-scratch ascent, retained as the equivalence and
-    benchmark baseline for {!for_mapping}. *)
 
 val optimize :
   ?cache:Ftes_par.Sfp_cache.t ->

@@ -12,10 +12,11 @@ type t = {
      [succ_off.(u) .. succ_off.(u+1) - 1] of [succ_dst]/[succ_tx].
      The flat arrays keep the hot graph walks (scheduler release,
      WCET bottom levels) on contiguous memory instead of chasing
-     3-word list cells. *)
+     3-word list cells; [succ_edge] gives the edge record of a slot. *)
   succ_off : int array;
   succ_dst : int array;
   succ_tx : float array;
+  succ_edge : edge array;
 }
 
 let compute_topological_order n succs preds =
@@ -78,8 +79,9 @@ let make ~n edges =
           incr i)
         l)
     succs;
+  let succ_edge = Array.of_list (List.concat (Array.to_list succs)) in
   { n; edges; succs; preds; in_deg = Array.map List.length preds; topo;
-    succ_off; succ_dst; succ_tx }
+    succ_off; succ_dst; succ_tx; succ_edge }
 
 let n t = t.n
 let edges t = t.edges
@@ -89,6 +91,7 @@ let succs t i = t.succs.(i)
 let succ_offsets t = t.succ_off
 let succ_dsts t = t.succ_dst
 let succ_txs t = t.succ_tx
+let succ_edges t = t.succ_edge
 let preds t i = t.preds.(i)
 let in_degree t i = t.in_deg.(i)
 
@@ -118,14 +121,14 @@ let bottom_levels t ~exec ~comm =
   done;
   bl
 
-(* Monomorphic bottom-level pass for the scheduler's incremental
-   kernel: [exec p] is [wcet.(p)] and [comm] zeroes same-member edges,
-   with no closure indirection per edge.  Walks the CSR mirror of
-   [succs] in the same element order, with the running maximum in a
-   local (unboxed) ref: [if v > best] against an accumulator starting
-   at [0.0] is [Float.max] on these inputs — all finite, and a [-0.]
-   candidate can never displace the non-negative accumulator — so each
-   entry is bit-identical to the closure-based [bottom_levels] fold.
+(* Monomorphic bottom-level pass for the list scheduler: [exec p] is
+   [wcet.(p)] and [comm] zeroes same-member edges, with no closure
+   indirection per edge.  Walks the CSR mirror of [succs] in the same
+   element order, with the running maximum in a local (unboxed) ref:
+   [if v > best] against an accumulator starting at [0.0] is
+   [Float.max] on these inputs — all finite, and a [-0.] candidate can
+   never displace the non-negative accumulator — so each entry is
+   bit-identical to the closure-based [bottom_levels] fold.
    Every cell is written before it is read (reverse topological order),
    so [out] needs no initialization. *)
 let bottom_levels_wcet_into t ~wcet ~mapping ~out:bl =

@@ -36,7 +36,7 @@ val succ_offsets : t -> int array
 (** Successor adjacency in compressed-sparse-row form, mirroring
     {!succs} element for element: the out-edges of [u] are the indices
     [succ_offsets t .(u) .. succ_offsets t .(u+1) - 1] into
-    {!succ_dsts} / {!succ_txs}.  The returned arrays are the graph's
+    {!succ_dsts} / {!succ_txs} / {!succ_edges}.  The returned arrays are the graph's
     own (built once at {!make} time) and must not be mutated. *)
 
 val succ_dsts : t -> int array
@@ -44,6 +44,9 @@ val succ_dsts : t -> int array
 
 val succ_txs : t -> float array
 (** Transmission time of each CSR edge slot. *)
+
+val succ_edges : t -> edge array
+(** The graph's own edge record at each CSR edge slot. *)
 
 val preds : t -> int -> edge list
 (** Incoming edges of a process. *)

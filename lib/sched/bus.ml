@@ -81,21 +81,3 @@ let transmit t ~member ~ready ~duration =
             (start, finish)
         | None, _ -> assert false (* walk always sets the start *)
       end
-
-(* Allocation-lean FCFS variant for the length-only scheduler: same
-   checks and float operations as [transmit], but no start/finish pair
-   is built.  TDMA keeps the shared slot walk. *)
-let[@inline] transmit_finish t ~member ~ready ~duration =
-  if member < 0 || member >= t.members then
-    invalid_arg "Bus.transmit: member out of range";
-  if ready < 0.0 || not (Float.is_finite ready) then
-    invalid_arg "Bus.transmit: invalid ready time";
-  if duration < 0.0 || not (Float.is_finite duration) then
-    invalid_arg "Bus.transmit: invalid duration";
-  match t.policy with
-  | Fcfs ->
-      let start = Float.max t.free ready in
-      let finish = start +. duration in
-      t.free <- finish;
-      finish
-  | Tdma _ -> snd (transmit t ~member ~ready ~duration)

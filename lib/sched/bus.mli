@@ -25,14 +25,9 @@ val create : policy -> members:int -> t
 
 val validate : policy -> members:int -> unit
 (** The checks of {!create}, without building any state — for the
-    length-only scheduler kernel, which books an FCFS bus inline. *)
+    length-only scheduler, which books an FCFS bus inline. *)
 
 val policy : t -> policy
-
-val transmit_finish : t -> member:int -> ready:float -> duration:float -> float
-(** Like {!transmit} but returns only the finish instant, without
-    building the pair — the allocation-lean form the length-only
-    scheduler kernel uses.  Books the bus exactly like {!transmit}. *)
 
 val transmit : t -> member:int -> ready:float -> duration:float -> float * float
 (** [transmit bus ~member ~ready ~duration] books the earliest

@@ -15,16 +15,6 @@ let c_priority_passes = Ftes_obs.Metrics.counter "sched.priority_passes"
 
 let c_slack_recomputations = Ftes_obs.Metrics.counter "sched.slack_recomputations"
 
-let priorities problem design =
-  Ftes_obs.Metrics.incr c_priority_passes;
-  let graph = Problem.graph problem in
-  let exec proc = Design.wcet problem design ~proc in
-  let comm (e : Task_graph.edge) =
-    if design.Design.mapping.(e.src) = design.Design.mapping.(e.dst) then 0.0
-    else e.transmission_ms
-  in
-  Task_graph.bottom_levels graph ~exec ~comm
-
 let validate_slack ~slack n =
   match slack with
   | Per_process budgets ->
@@ -47,156 +37,10 @@ let validate_slack ~slack n =
         invalid_arg "Scheduler.schedule: invalid checkpoint overhead"
   | Shared | Conservative | Dedicated -> ()
 
-let schedule_impl ~slack ~bus problem design =
-  let graph = Problem.graph problem in
-  let n = Task_graph.n graph in
-  validate_slack ~slack n;
-  let members = Design.n_members design in
-  let mu = problem.Problem.app.Ftes_model.Application.recovery_overhead_ms in
-  let prio = priorities problem design in
-  let mapping = design.Design.mapping in
-  let k slot = design.Design.reexecs.(slot) in
-  (* Per-node state. *)
-  let node_avail = Array.make members 0.0 in
-  let node_finish = Array.make members 0.0 in
-  let max_exec = Array.make members 0.0 in
-  (* Under checkpointing a fault re-executes only one segment, so the
-     per-node slack is sized by the largest segment, not process. *)
-  let max_recovery = Array.make members 0.0 in
-  let last_commit = Array.make members 0.0 in
-  let bus_state = Bus.create bus ~members in
-  let entries = Array.make n None in
-  let messages = ref [] in
-  (* arrival.(p): earliest time all of p's inputs are on p's node. *)
-  let arrival = Array.make n 0.0 in
-  let remaining_preds = Array.init n (fun i -> Task_graph.in_degree graph i) in
-  let scheduled = Array.make n false in
-  let ready p = (not scheduled.(p)) && remaining_preds.(p) = 0 in
-  let pick () =
-    let best = ref (-1) in
-    for p = n - 1 downto 0 do
-      if ready p && (!best = -1 || prio.(p) >= prio.(!best)) then best := p
-    done;
-    !best
-  in
-  let place p =
-    let slot = mapping.(p) in
-    let raw_t = Design.wcet problem design ~proc:p in
-    (* Checkpointing inflates the fault-free execution by the saves and
-       shrinks the recovery unit to one segment. *)
-    let t, recovery =
-      match slack with
-      | Checkpointed { kappa; save_ms } ->
-          let segments = float_of_int kappa.(p) in
-          ( raw_t +. ((segments -. 1.0) *. save_ms),
-            raw_t /. segments )
-      | Shared | Conservative | Dedicated | Per_process _ -> (raw_t, raw_t)
-    in
-    let start = Float.max node_avail.(slot) arrival.(p) in
-    let finish = start +. t in
-    if t > max_exec.(slot) then max_exec.(slot) <- t;
-    if recovery > max_recovery.(slot) then max_recovery.(slot) <- recovery;
-    (* The commit time is when the process's outputs may leave the node:
-       nominally right away under the paper's model, after the shared
-       worst-case slack under the sound variant, after the process's own
-       slack without sharing. *)
-    let commit =
-      match slack with
-      | Shared -> finish
-      | Conservative ->
-          finish +. (float_of_int (k slot) *. (max_exec.(slot) +. mu))
-      | Dedicated -> finish +. (float_of_int (k slot) *. (t +. mu))
-      | Per_process budgets ->
-          finish +. (float_of_int budgets.(p) *. (t +. mu))
-      | Checkpointed _ -> finish
-    in
-    entries.(p) <- Some { Schedule.proc = p; slot; start; finish; commit };
-    node_finish.(slot) <- finish;
-    last_commit.(slot) <- Float.max last_commit.(slot) commit;
-    (node_avail.(slot) <-
-       (match slack with
-       | Shared | Conservative | Checkpointed _ -> finish
-       | Dedicated | Per_process _ -> commit));
-    (* Release successors; put cross-node outputs on the bus now
-       (first-come-first-served). *)
-    List.iter
-      (fun (e : Task_graph.edge) ->
-        let d = e.dst in
-        let arrive =
-          if mapping.(d) = slot then finish
-          else begin
-            let bus_start, bus_finish =
-              Bus.transmit bus_state ~member:slot ~ready:commit
-                ~duration:e.transmission_ms
-            in
-            messages := { Schedule.edge = e; bus_start; bus_finish } :: !messages;
-            bus_finish
-          end
-        in
-        if arrive > arrival.(d) then arrival.(d) <- arrive;
-        remaining_preds.(d) <- remaining_preds.(d) - 1)
-      (Task_graph.succs graph p);
-    scheduled.(p) <- true
-  in
-  let rec run placed =
-    if placed < n then begin
-      let p = pick () in
-      assert (p >= 0);
-      place p;
-      run (placed + 1)
-    end
-  in
-  run 0;
-  (* In Shared mode the re-executions of a node spill into one shared
-     slack region after its nominal finish, sized by its largest
-     process; in Dedicated mode each process already carries its own
-     slack, so the node ends at the last commit. *)
-  Ftes_obs.Metrics.incr c_slack_recomputations;
-  let node_worst =
-    Array.init members (fun slot ->
-        match slack with
-        | Shared | Conservative ->
-            if max_exec.(slot) = 0.0 then node_finish.(slot)
-            else
-              node_finish.(slot)
-              +. (float_of_int (k slot) *. (max_exec.(slot) +. mu))
-        | Checkpointed _ ->
-            if max_recovery.(slot) = 0.0 then node_finish.(slot)
-            else
-              node_finish.(slot)
-              +. (float_of_int (k slot) *. (max_recovery.(slot) +. mu))
-        | Dedicated | Per_process _ -> last_commit.(slot))
-  in
-  let entries =
-    Array.map
-      (function
-        | Some e -> e
-        | None -> assert false (* every process was placed by [run] *))
-      entries
-  in
-  let length = Array.fold_left Float.max 0.0 node_worst in
-  { Schedule.entries; messages = List.rev !messages; node_finish; node_worst;
-    length }
-
-(* --- Incremental kernel ---
-
-   Same placement algorithm and float operations as [schedule_impl];
-   only the machinery around them changes:
-
-   - the ready set lives in a binary heap ordered (priority desc, index
-     asc) — exactly the (max priority, lowest index) argmax the
-     reference [pick] scan computes, so identical pop sequences;
-   - WCETs are fetched once into a scratch vector (the same
-     [Design.wcet] calls the reference makes per placement), and the
-     bottom-level pass reads them through the graph's CSR adjacency;
-   - short-lived working arrays come from the domain's scratch arena.
-     Arrays escaping into the returned {!Schedule.t} (entries,
-     node_finish, node_worst) stay freshly allocated. *)
-
-(* Heap order: highest priority first, ties to the lower index.  Both
-   kernels share these top-level functions, so the length-only one
-   allocates no closure for them; the comparator is written out at each
-   use so the sift loops make no calls on their hottest comparisons. *)
+(* Heap order: highest priority first, ties to the lower index — the
+   (max priority, lowest index) argmax of a rescan of the ready set.
+   The comparator is written out at each use so the sift loops make no
+   calls on their hottest comparisons. *)
 let heap_push (heap : int array) (prio : float array) len p =
   heap.(len) <- p;
   let i = ref len in
@@ -241,150 +85,43 @@ let heap_pop (heap : int array) (prio : float array) len =
   done;
   top
 
-(* Run [f] on an acquired arena, releasing it on every exit path; a
-   [match ... with exception] handler, unlike [Fun.protect], allocates
-   nothing. *)
-let with_arena f ~slack ~bus problem design =
-  let arena = Scratch.acquire () in
-  match f arena ~slack ~bus problem design with
-  | v ->
-      Scratch.release arena;
-      v
-  | exception e ->
-      Scratch.release arena;
-      raise e
+(* What a full schedule collects besides its length: the entry and
+   message records.  A message shares the graph's edge record, found
+   by CSR slot in [Task_graph.succ_edges]. *)
+type recorder = {
+  entries : Schedule.entry array;
+  mutable messages : Schedule.message list;
+}
 
-let dummy_entry =
-  { Schedule.proc = -1; slot = -1; start = 0.0; finish = 0.0; commit = 0.0 }
+(* How the loop books a cross-node message.  A full schedule records
+   every message with its start, so it books through [Bus.transmit]
+   ([Record]).  A length-only call on TDMA needs the slot walk of
+   [Bus.transmit] too ([Walk]).  On FCFS it books [Inline]: that bus is
+   one float of state (its next free instant), kept in an arena cell
+   and updated with the same [max]/[+.] sequence as [Bus.transmit],
+   whose validation is unreachable here (commit times are finite and
+   non-negative by construction, transmission times are validated at
+   graph build), so no [Bus.t] is built. *)
+type booking = Inline | Walk of Bus.t | Record of Bus.t * recorder
 
-let schedule_fast arena ~slack ~bus problem design =
+(* The arena slots [run] leaves its per-member results in. *)
+let node_finish_slot = 6
+
+let node_worst_slot = 9
+
+(* The list scheduler.  Processes are placed in decreasing bottom-level
+   priority from a binary heap over the ready set; placing one releases
+   its successors over the graph's CSR adjacency and books its
+   cross-node outputs on the bus (first-come-first-served).  Inputs are
+   validated by the caller.  Every working array comes from [arena], and
+   the fault-free and worst-case completion per member are left in the
+   [node_finish_slot] and [node_worst_slot] arrays.  Returns the
+   worst-case schedule length.  Unless [booking] records, a call
+   allocates no record and no closure. *)
+let run arena booking ~slack problem design =
   let graph = Problem.graph problem in
   let n = Task_graph.n graph in
-  validate_slack ~slack n;
   let members = Design.n_members design in
-  let mu = problem.Problem.app.Ftes_model.Application.recovery_overhead_ms in
-  let mapping = design.Design.mapping in
-  let k slot = design.Design.reexecs.(slot) in
-  let wcet = Scratch.floats arena ~slot:0 ~n in
-  Design.wcet_into problem design ~out:wcet;
-  Ftes_obs.Metrics.incr c_priority_passes;
-  let prio = Scratch.floats arena ~slot:8 ~n in
-  Task_graph.bottom_levels_wcet_into graph ~wcet ~mapping ~out:prio;
-  let node_avail = Scratch.floats arena ~slot:1 ~n:members in
-  let max_exec = Scratch.floats arena ~slot:2 ~n:members in
-  let max_recovery = Scratch.floats arena ~slot:3 ~n:members in
-  let last_commit = Scratch.floats arena ~slot:4 ~n:members in
-  let arrival = Scratch.floats arena ~slot:5 ~n in
-  Array.fill node_avail 0 members 0.0;
-  Array.fill max_exec 0 members 0.0;
-  Array.fill max_recovery 0 members 0.0;
-  Array.fill last_commit 0 members 0.0;
-  Array.fill arrival 0 n 0.0;
-  let node_finish = Array.make members 0.0 in
-  let bus_state = Bus.create bus ~members in
-  let entries = Array.make n dummy_entry in
-  let messages = ref [] in
-  let remaining_preds = Scratch.ints arena ~slot:0 ~n in
-  Task_graph.in_degrees_into graph remaining_preds;
-  let heap = Scratch.ints arena ~slot:1 ~n in
-  let heap_len = ref 0 in
-  let push p =
-    heap_push heap prio !heap_len p;
-    incr heap_len
-  in
-  for p = 0 to n - 1 do
-    if remaining_preds.(p) = 0 then push p
-  done;
-  let place p =
-    let slot = mapping.(p) in
-    let raw_t = wcet.(p) in
-    let t, recovery =
-      match slack with
-      | Checkpointed { kappa; save_ms } ->
-          let segments = float_of_int kappa.(p) in
-          ( raw_t +. ((segments -. 1.0) *. save_ms),
-            raw_t /. segments )
-      | Shared | Conservative | Dedicated | Per_process _ -> (raw_t, raw_t)
-    in
-    let start = Float.max node_avail.(slot) arrival.(p) in
-    let finish = start +. t in
-    if t > max_exec.(slot) then max_exec.(slot) <- t;
-    if recovery > max_recovery.(slot) then max_recovery.(slot) <- recovery;
-    let commit =
-      match slack with
-      | Shared -> finish
-      | Conservative ->
-          finish +. (float_of_int (k slot) *. (max_exec.(slot) +. mu))
-      | Dedicated -> finish +. (float_of_int (k slot) *. (t +. mu))
-      | Per_process budgets ->
-          finish +. (float_of_int budgets.(p) *. (t +. mu))
-      | Checkpointed _ -> finish
-    in
-    entries.(p) <- { Schedule.proc = p; slot; start; finish; commit };
-    node_finish.(slot) <- finish;
-    last_commit.(slot) <- Float.max last_commit.(slot) commit;
-    (node_avail.(slot) <-
-       (match slack with
-       | Shared | Conservative | Checkpointed _ -> finish
-       | Dedicated | Per_process _ -> commit));
-    List.iter
-      (fun (e : Task_graph.edge) ->
-        let d = e.dst in
-        let arrive =
-          if mapping.(d) = slot then finish
-          else begin
-            let bus_start, bus_finish =
-              Bus.transmit bus_state ~member:slot ~ready:commit
-                ~duration:e.transmission_ms
-            in
-            messages := { Schedule.edge = e; bus_start; bus_finish } :: !messages;
-            bus_finish
-          end
-        in
-        if arrive > arrival.(d) then arrival.(d) <- arrive;
-        remaining_preds.(d) <- remaining_preds.(d) - 1;
-        if remaining_preds.(d) = 0 then push d)
-      (Task_graph.succs graph p)
-  in
-  for _ = 1 to n do
-    let p = heap_pop heap prio !heap_len in
-    decr heap_len;
-    place p
-  done;
-  Ftes_obs.Metrics.incr c_slack_recomputations;
-  let node_worst =
-    Array.init members (fun slot ->
-        match slack with
-        | Shared | Conservative ->
-            if max_exec.(slot) = 0.0 then node_finish.(slot)
-            else
-              node_finish.(slot)
-              +. (float_of_int (k slot) *. (max_exec.(slot) +. mu))
-        | Checkpointed _ ->
-            if max_recovery.(slot) = 0.0 then node_finish.(slot)
-            else
-              node_finish.(slot)
-              +. (float_of_int (k slot) *. (max_recovery.(slot) +. mu))
-        | Dedicated | Per_process _ -> last_commit.(slot))
-  in
-  let length = Array.fold_left Float.max 0.0 node_worst in
-  { Schedule.entries; messages = List.rev !messages; node_finish; node_worst;
-    length }
-
-(* Length-only variant of [schedule_fast] for the optimizer's inner
-   loop, which discards everything but [Schedule.length].  Same
-   placement order and float operations (the placement floats do not
-   depend on the entry/message records, and the final fold over
-   [node_worst] runs in the same slot order starting from [0.0]), but
-   no entry or message records are built, every array comes from the
-   arena and the placement runs inline in the pop loop, so a call
-   allocates no closure and, on an FCFS bus, no bus state. *)
-let schedule_length_fast arena ~slack ~bus problem design =
-  let graph = Problem.graph problem in
-  let n = Task_graph.n graph in
-  validate_slack ~slack n;
-  let members = Design.n_members design in
-  Bus.validate bus ~members;
   let mu = problem.Problem.app.Ftes_model.Application.recovery_overhead_ms in
   let mapping = design.Design.mapping in
   let reexecs = design.Design.reexecs in
@@ -395,27 +132,20 @@ let schedule_length_fast arena ~slack ~bus problem design =
   Task_graph.bottom_levels_wcet_into graph ~wcet ~mapping ~out:prio;
   let node_avail = Scratch.floats arena ~slot:1 ~n:members in
   let max_exec = Scratch.floats arena ~slot:2 ~n:members in
+  (* Under checkpointing a fault re-executes only one segment, so the
+     per-node slack is sized by the largest segment, not process. *)
   let max_recovery = Scratch.floats arena ~slot:3 ~n:members in
   let last_commit = Scratch.floats arena ~slot:4 ~n:members in
+  (* arrival.(p): earliest time all of p's inputs are on p's node. *)
   let arrival = Scratch.floats arena ~slot:5 ~n in
-  let node_finish = Scratch.floats arena ~slot:6 ~n:members in
+  let node_finish = Scratch.floats arena ~slot:node_finish_slot ~n:members in
+  let node_worst = Scratch.floats arena ~slot:node_worst_slot ~n:members in
   Array.fill node_avail 0 members 0.0;
   Array.fill max_exec 0 members 0.0;
   Array.fill max_recovery 0 members 0.0;
   Array.fill last_commit 0 members 0.0;
   Array.fill arrival 0 n 0.0;
   Array.fill node_finish 0 members 0.0;
-  (* An FCFS bus is one float of state (its next free instant); it
-     lives in an arena cell so the booking runs inline without boxing —
-     same [max]/[+.] sequence as [Bus.transmit], whose validation is
-     unreachable here (commit times are finite and non-negative by
-     construction, transmission times are validated at graph build).
-     Only TDMA builds a [Bus.t], for the shared slot walk. *)
-  let tdma =
-    match bus with
-    | Bus.Fcfs -> None
-    | Bus.Tdma _ -> Some (Bus.create bus ~members)
-  in
   let bus_free = Scratch.floats arena ~slot:7 ~n:1 in
   bus_free.(0) <- 0.0;
   let remaining_preds = Scratch.ints arena ~slot:0 ~n in
@@ -428,20 +158,17 @@ let schedule_length_fast arena ~slack ~bus problem design =
       incr heap_len
     end
   done;
-  (* The successor-release walk runs over the graph's CSR adjacency —
-     same edges in the same order as the reference's [List.iter] over
-     [succs], on contiguous arrays. *)
   let succ_off = Task_graph.succ_offsets graph in
   let succ_dst = Task_graph.succ_dsts graph in
   let succ_tx = Task_graph.succ_txs graph in
+  let succ_edge = Task_graph.succ_edges graph in
   for _ = 1 to n do
     let p = heap_pop heap prio !heap_len in
     decr heap_len;
     let slot = mapping.(p) in
     let raw_t = wcet.(p) in
-    (* Split the reference's (t, recovery) pair to avoid the tuple; the
-       recomputed [segments] is the same float, so both components stay
-       bit-identical. *)
+    (* Checkpointing inflates the fault-free execution by the saves and
+       shrinks the recovery unit to one segment. *)
     let t =
       match slack with
       | Checkpointed { kappa; save_ms } ->
@@ -457,6 +184,10 @@ let schedule_length_fast arena ~slack ~bus problem design =
     let finish = start +. t in
     if t > max_exec.(slot) then max_exec.(slot) <- t;
     if recovery > max_recovery.(slot) then max_recovery.(slot) <- recovery;
+    (* The commit time is when the process's outputs may leave the node:
+       nominally right away under the paper's model, after the shared
+       worst-case slack under the sound variant, after the process's own
+       slack without sharing. *)
     let commit =
       match slack with
       | Shared -> finish
@@ -468,6 +199,10 @@ let schedule_length_fast arena ~slack ~bus problem design =
           finish +. (float_of_int budgets.(p) *. (t +. mu))
       | Checkpointed _ -> finish
     in
+    (match booking with
+    | Record (_, r) ->
+        r.entries.(p) <- { Schedule.proc = p; slot; start; finish; commit }
+    | Inline | Walk _ -> ());
     node_finish.(slot) <- finish;
     last_commit.(slot) <- Float.max last_commit.(slot) commit;
     (node_avail.(slot) <-
@@ -479,15 +214,25 @@ let schedule_length_fast arena ~slack ~bus problem design =
       let arrive =
         if mapping.(d) = slot then finish
         else begin
-          match tdma with
-          | None ->
+          match booking with
+          | Inline ->
               let bus_start = Float.max bus_free.(0) commit in
               let bus_finish = bus_start +. succ_tx.(ei) in
               bus_free.(0) <- bus_finish;
               bus_finish
-          | Some bus_state ->
-              Bus.transmit_finish bus_state ~member:slot ~ready:commit
-                ~duration:succ_tx.(ei)
+          | Walk bus_state ->
+              snd
+                (Bus.transmit bus_state ~member:slot ~ready:commit
+                   ~duration:succ_tx.(ei))
+          | Record (bus_state, r) ->
+              let bus_start, bus_finish =
+                Bus.transmit bus_state ~member:slot ~ready:commit
+                  ~duration:succ_tx.(ei)
+              in
+              r.messages <-
+                { Schedule.edge = succ_edge.(ei); bus_start; bus_finish }
+                :: r.messages;
+              bus_finish
         end
       in
       if arrive > arrival.(d) then arrival.(d) <- arrive;
@@ -498,6 +243,10 @@ let schedule_length_fast arena ~slack ~bus problem design =
       end
     done
   done;
+  (* In Shared mode the re-executions of a node spill into one shared
+     slack region after its nominal finish, sized by its largest
+     process; in Dedicated mode each process already carries its own
+     slack, so the node ends at the last commit. *)
   Ftes_obs.Metrics.incr c_slack_recomputations;
   let length = ref 0.0 in
   for slot = 0 to members - 1 do
@@ -512,29 +261,64 @@ let schedule_length_fast arena ~slack ~bus problem design =
           else node_finish.(slot) +. (k *. (max_recovery.(slot) +. mu))
       | Dedicated | Per_process _ -> last_commit.(slot)
     in
+    node_worst.(slot) <- worst;
     length := Float.max !length worst
   done;
   !length
 
+let dummy_entry =
+  { Schedule.proc = -1; slot = -1; start = 0.0; finish = 0.0; commit = 0.0 }
+
+(* Both entry points release the arena on every exit path; a
+   [match ... with exception] handler, unlike [Fun.protect], allocates
+   nothing. *)
 let schedule ?(slack = Shared) ?(bus = Bus.Fcfs) problem design =
   Ftes_obs.Metrics.incr c_schedules;
   Ftes_obs.Span.with_ ~name:"sched/schedule" (fun () ->
-      if Ftes_util.Kernel.incremental () then
-        with_arena schedule_fast ~slack ~bus problem design
-      else schedule_impl ~slack ~bus problem design)
-
-let schedule_reference ?(slack = Shared) ?(bus = Bus.Fcfs) problem design =
-  Ftes_obs.Metrics.incr c_schedules;
-  Ftes_obs.Span.with_ ~name:"sched/schedule" (fun () ->
-      schedule_impl ~slack ~bus problem design)
+      let graph = Problem.graph problem in
+      let n = Task_graph.n graph in
+      let members = Design.n_members design in
+      validate_slack ~slack n;
+      let recorder = { entries = Array.make n dummy_entry; messages = [] } in
+      let booking = Record (Bus.create bus ~members, recorder) in
+      let arena = Scratch.acquire () in
+      match run arena booking ~slack problem design with
+      | length ->
+          let copy slot =
+            Array.sub (Scratch.floats arena ~slot ~n:members) 0 members
+          in
+          let node_finish = copy node_finish_slot in
+          let node_worst = copy node_worst_slot in
+          Scratch.release arena;
+          { Schedule.entries = recorder.entries;
+            messages = List.rev recorder.messages;
+            node_finish;
+            node_worst;
+            length }
+      | exception e ->
+          Scratch.release arena;
+          raise e)
 
 let schedule_length ?(slack = Shared) ?(bus = Bus.Fcfs) problem design =
-  if Ftes_util.Kernel.incremental () then begin
-    Ftes_obs.Metrics.incr c_schedules;
-    Ftes_obs.Span.with_ ~name:"sched/schedule" (fun () ->
-        with_arena schedule_length_fast ~slack ~bus problem design)
-  end
-  else Schedule.length (schedule ~slack ~bus problem design)
+  Ftes_obs.Metrics.incr c_schedules;
+  Ftes_obs.Span.with_ ~name:"sched/schedule" (fun () ->
+      validate_slack ~slack (Task_graph.n (Problem.graph problem));
+      let members = Design.n_members design in
+      let booking =
+        match bus with
+        | Bus.Fcfs ->
+            Bus.validate bus ~members;
+            Inline
+        | Bus.Tdma _ -> Walk (Bus.create bus ~members)
+      in
+      let arena = Scratch.acquire () in
+      match run arena booking ~slack problem design with
+      | length ->
+          Scratch.release arena;
+          length
+      | exception e ->
+          Scratch.release arena;
+          raise e)
 
 let is_schedulable ?slack ?bus problem design =
   let sl = schedule_length ?slack ?bus problem design in

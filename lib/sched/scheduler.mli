@@ -46,11 +46,6 @@ type slack_mode =
       (** checkpoints per process (>= 1 each) and the cost of one
           state save. *)
 
-val priorities : Ftes_model.Problem.t -> Ftes_model.Design.t -> float array
-(** Bottom-level (longest remaining path) priority per process, using
-    the design's WCETs and counting transmission times only on edges
-    that cross nodes under the design's mapping. *)
-
 val schedule :
   ?slack:slack_mode ->
   ?bus:Bus.policy ->
@@ -59,23 +54,11 @@ val schedule :
   Schedule.t
 (** Build the root schedule (defaults: [Shared] slack, [Fcfs] bus).
 
-    Under {!Ftes_util.Kernel.Incremental} (the default) the ready set
-    lives in a binary heap ordered (priority desc, index asc) — the
-    exact argmax of the reference rescan — priorities come from one
+    The ready set lives in a binary heap ordered (priority desc, index
+    asc), priorities come from one
     {!Ftes_model.Task_graph.bottom_levels_wcet_into} pass over the CSR
     adjacency, and short-lived working arrays come from the domain's
-    {!Scratch} arena.  The resulting schedule is
-    bit-identical to {!schedule_reference} for every slack and bus
-    policy. *)
-
-val schedule_reference :
-  ?slack:slack_mode ->
-  ?bus:Bus.policy ->
-  Ftes_model.Problem.t ->
-  Ftes_model.Design.t ->
-  Schedule.t
-(** The original O(n) rescan implementation, retained as the
-    equivalence and benchmark baseline for {!schedule}. *)
+    {!Scratch} arena. *)
 
 val schedule_length :
   ?slack:slack_mode ->
@@ -83,9 +66,9 @@ val schedule_length :
   Ftes_model.Problem.t ->
   Ftes_model.Design.t ->
   float
-(** Worst-case schedule length [SL] of {!schedule}.  Under the
-    incremental kernel it takes a length-only path that builds no
-    records, no closures and, on an FCFS bus, no bus state. *)
+(** Worst-case schedule length [SL] of {!schedule}, from the same
+    placement loop without building the records: no entries, no
+    messages, no closures and, on an FCFS bus, no bus state. *)
 
 val is_schedulable :
   ?slack:slack_mode ->

@@ -3,7 +3,7 @@
    acquisition on the same domain falls back to a throwaway arena so
    re-entrancy can never alias live scratch. *)
 
-let n_float_slots = 9
+let n_float_slots = 10
 
 let n_int_slots = 2
 

@@ -11,8 +11,8 @@
     {!acquire} and the matching {!release}; it is at least the requested
     length and carries stale contents (callers initialize the prefix
     they use); distinct slots never alias.  Arrays that outlive the call
-    — the entries, finish and worst vectors of {!Schedule.t} — must be
-    allocated fresh, never from the arena. *)
+    — the entries, finish and worst vectors of {!Schedule.t} — are
+    allocated fresh or copied out before the release. *)
 
 type t
 
@@ -25,7 +25,7 @@ val acquire : unit -> t
 val release : t -> unit
 
 val floats : t -> slot:int -> n:int -> float array
-(** Slot indices [0..8]. *)
+(** Slot indices [0..9]. *)
 
 val ints : t -> slot:int -> n:int -> int array
 (** Slot indices [0..1]. *)

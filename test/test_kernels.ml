@@ -1,9 +1,9 @@
-(* Equivalence suite for the incremental evaluation kernels (the heap
-   scheduler, the incremental SFP ascent and the bound-guided k-search):
-   each must be bit-identical to its retained reference implementation,
-   and the delta paths must demonstrably fire. *)
+(* Equivalence suite for the evaluation kernels (the heap scheduler,
+   the incremental SFP ascent and the bisected k-search): each must be
+   bit-identical, call by call, to its reference in [Ftes_oracle], and
+   the delta paths must demonstrably fire. *)
 
-module Kernel = Ftes_util.Kernel
+module Oracle = Ftes_oracle
 module Prng = Ftes_util.Prng
 module Task_graph = Ftes_model.Task_graph
 module Design = Ftes_model.Design
@@ -14,8 +14,6 @@ module Sfp = Ftes_sfp.Sfp
 module Incremental = Ftes_sfp.Incremental
 module Bound = Ftes_sfp.Bound
 module Scheduler = Ftes_sched.Scheduler
-module Schedule = Ftes_sched.Schedule
-module Bus = Ftes_sched.Bus
 module Config = Ftes_core.Config
 module Re_execution_opt = Ftes_core.Re_execution_opt
 module Redundancy_opt = Ftes_core.Redundancy_opt
@@ -23,37 +21,15 @@ module Metrics = Ftes_obs.Metrics
 
 let counter_value name = Metrics.counter_value (Metrics.counter name)
 
-(* Bit-level float equality: the kernels promise the identical float,
-   not a nearby one. *)
-let feq a b = Int64.bits_of_float a = Int64.bits_of_float b
-
-(* --- Scheduler: heap pick = reference rescan --- *)
-
-let entry_eq (a : Schedule.entry) (b : Schedule.entry) =
-  a.proc = b.proc && a.slot = b.slot && feq a.start b.start
-  && feq a.finish b.finish && feq a.commit b.commit
-
-let message_eq (a : Schedule.message) (b : Schedule.message) =
-  a.edge = b.edge && feq a.bus_start b.bus_start
-  && feq a.bus_finish b.bus_finish
-
-let farray_eq a b =
-  Array.length a = Array.length b && Array.for_all2 feq a b
-
-let schedule_eq (a : Schedule.t) (b : Schedule.t) =
-  Array.length a.entries = Array.length b.entries
-  && Array.for_all2 entry_eq a.entries b.entries
-  && List.length a.messages = List.length b.messages
-  && List.for_all2 message_eq a.messages b.messages
-  && farray_eq a.node_finish b.node_finish
-  && farray_eq a.node_worst b.node_worst
-  && feq a.length b.length
+let feq = Oracle.Bitwise.float
 
 let random_design = Helpers.random_design
 
 let bus_policies = Helpers.bus_policies
 
 let slack_policies = Helpers.slack_policies
+
+(* --- Scheduler: heap pick = oracle rescan --- *)
 
 let prop_heap_schedule_matches_reference =
   QCheck.Test.make ~count:30
@@ -72,21 +48,18 @@ let prop_heap_schedule_matches_reference =
         (fun slack ->
           List.for_all
             (fun bus ->
-              let fast =
-                Kernel.with_mode Kernel.Incremental (fun () ->
-                    Scheduler.schedule ~slack ~bus problem design)
-              in
+              let fast = Scheduler.schedule ~slack ~bus problem design in
               let reference =
-                Scheduler.schedule_reference ~slack ~bus problem design
+                Oracle.Scheduler.schedule ~slack ~bus problem design
               in
-              schedule_eq fast reference)
+              Oracle.Bitwise.schedule fast reference)
             bus_policies)
         (slack_policies prng n))
 
-(* [schedule_length] takes a separate length-only path under the
-   incremental kernel (no entry/message records are built), so it gets
-   its own equivalence property: the duplicated placement code must
-   keep producing the reference's makespan bit for bit. *)
+(* [schedule_length] runs the placement loop without a recorder (no
+   entry/message records, inline FCFS bus booking), so it gets its own
+   equivalence property: it must produce the oracle's makespan bit for
+   bit. *)
 let prop_schedule_length_matches_reference =
   QCheck.Test.make ~count:30
     ~name:"length-only schedule = reference length (all slack x bus policies)"
@@ -104,13 +77,9 @@ let prop_schedule_length_matches_reference =
         (fun slack ->
           List.for_all
             (fun bus ->
-              let fast =
-                Kernel.with_mode Kernel.Incremental (fun () ->
-                    Scheduler.schedule_length ~slack ~bus problem design)
-              in
+              let fast = Scheduler.schedule_length ~slack ~bus problem design in
               let reference =
-                Schedule.length
-                  (Scheduler.schedule_reference ~slack ~bus problem design)
+                Oracle.Scheduler.schedule_length ~slack ~bus problem design
               in
               feq fast reference)
             bus_policies)
@@ -179,7 +148,7 @@ let prop_candidate_failure_bit_identical =
       done;
       !ok)
 
-(* --- Re-execution ascent: incremental = reference --- *)
+(* --- Re-execution ascent: incremental = oracle --- *)
 
 let prop_for_mapping_matches_reference =
   QCheck.Test.make ~count:25
@@ -193,18 +162,16 @@ let prop_for_mapping_matches_reference =
           ()
       in
       let design = random_design prng problem in
-      let reference = Re_execution_opt.for_mapping_reference problem design in
-      let fast =
-        Kernel.with_mode Kernel.Incremental (fun () ->
-            Re_execution_opt.for_mapping problem design)
-      in
+      let reference = Oracle.Re_execution_opt.search problem design in
+      let fast = Re_execution_opt.search problem design in
       let cached =
-        Kernel.with_mode Kernel.Incremental (fun () ->
-            Re_execution_opt.for_mapping
-              ~cache:(Ftes_par.Sfp_cache.create ())
-              problem design)
+        Re_execution_opt.search ~cache:(Ftes_par.Sfp_cache.create ()) problem
+          design
       in
-      fast = reference && cached = reference)
+      Oracle.Bitwise.accepted fast reference
+      && Oracle.Bitwise.accepted cached reference
+      && Re_execution_opt.for_mapping problem design
+         = Oracle.Re_execution_opt.for_mapping problem design)
 
 (* --- Bound: binary search = linear scan --- *)
 
@@ -220,7 +187,7 @@ let prop_required_k_matches_scan =
       for kmax = 0 to 14 do
         if
           Bound.required_k p ~budget ~kmax
-          <> Bound.required_k_scan p ~budget ~kmax
+          <> Oracle.Bound.required_k_scan p ~budget ~kmax
         then ok := false
       done;
       !ok)
@@ -252,47 +219,71 @@ let test_grow_skips_saturated_member () =
     Design.make problem ~members:[| 0; 1 |] ~levels:[| 1; 1 |]
       ~reexecs:[| 0; 0 |] ~mapping:[| 1; 1 |]
   in
-  Kernel.with_mode Kernel.Incremental (fun () ->
-      let before = counter_value "kernel.grow_skips" in
-      let k = Re_execution_opt.for_mapping problem design in
-      let after = counter_value "kernel.grow_skips" in
-      Alcotest.(check bool) "goal reachable" true (k <> None);
-      Alcotest.(check bool) "empty member needs no re-executions" true
-        ((Option.get k).(0) = 0);
-      Alcotest.(check bool) "saturated candidates were skipped" true
-        (after > before);
-      Alcotest.(check (option (array int)))
-        "skipping preserves the selected vector"
-        (Re_execution_opt.for_mapping_reference problem design)
-        k)
+  let before = counter_value "kernel.grow_skips" in
+  let k = Re_execution_opt.for_mapping problem design in
+  let after = counter_value "kernel.grow_skips" in
+  Alcotest.(check bool) "goal reachable" true (k <> None);
+  Alcotest.(check bool) "empty member needs no re-executions" true
+    ((Option.get k).(0) = 0);
+  Alcotest.(check bool) "saturated candidates were skipped" true
+    (after > before);
+  Alcotest.(check (option (array int)))
+    "skipping preserves the selected vector"
+    (Oracle.Re_execution_opt.for_mapping problem design)
+    k
 
 (* An Optimize probe over a single fully-hardened unschedulable mapping
    memoizes its (None, best_len) outcome; a later escalation over the
    same mapping (through the memoized evaluations) must report the same
-   best-effort length, under either kernel. *)
+   best-effort length.  Per call, the evaluation behind it must match
+   the oracles: the oracle ascent's re-executions and the oracle
+   schedule's length, or no result and an infinite length when the
+   oracle ascent finds the reliability goal unreachable (as it does at
+   the higher failure probability). *)
 let test_unschedulable_probe_matches_best_effort_length () =
-  (* 10 ms WCETs against a 5 ms deadline: never schedulable. *)
-  let problem = two_node_problem ~deadline_ms:5.0 ~pfail:1e-6 in
-  let design =
-    Design.make problem ~members:[| 0; 1 |] ~levels:[| 1; 1 |]
-      ~reexecs:[| 0; 0 |] ~mapping:[| 0; 1 |]
-  in
-  let config = Config.default in
-  Kernel.with_mode Kernel.Incremental (fun () ->
+  List.iter
+    (fun pfail ->
+      (* 10 ms WCETs against a 5 ms deadline: never schedulable. *)
+      let problem = two_node_problem ~deadline_ms:5.0 ~pfail in
+      let design =
+        Design.make problem ~members:[| 0; 1 |] ~levels:[| 1; 1 |]
+          ~reexecs:[| 0; 0 |] ~mapping:[| 0; 1 |]
+      in
+      let config = Config.default in
       let cache = Redundancy_opt.create_cache () in
       let outcome, best_len =
         Redundancy_opt.probe ~cache ~config problem design
       in
       Alcotest.(check bool) "mapping is unschedulable" true (outcome = None);
-      let len2 = Redundancy_opt.best_effort_length ~cache ~config problem design in
+      let len2 =
+        Redundancy_opt.best_effort_length ~cache ~config problem design
+      in
       Alcotest.(check bool) "memoized best-effort length served" true
         (feq len2 best_len);
-      (* The reference kernel, given the same cache, must agree. *)
-      let len_ref =
-        Kernel.with_mode Kernel.Reference (fun () ->
-            Redundancy_opt.best_effort_length ~cache ~config problem design)
+      let evaluated =
+        Redundancy_opt.evaluate ~cache config problem design
+          design.Design.levels
       in
-      Alcotest.(check bool) "reference agrees" true (feq len_ref best_len))
+      match
+        ( Oracle.Re_execution_opt.for_mapping ~kmax:config.Config.kmax problem
+            design,
+          evaluated )
+      with
+      | None, None ->
+          Alcotest.(check bool) "unreachable goal: no best-effort length" true
+            (best_len = infinity)
+      | Some reexecs, Some r ->
+          Alcotest.(check (array int)) "re-executions = oracle ascent" reexecs
+            r.Redundancy_opt.design.Design.reexecs;
+          Alcotest.(check bool) "best-effort length = oracle schedule length"
+            true
+            (feq best_len
+               (Oracle.Scheduler.schedule_length ~slack:config.Config.slack
+                  ~bus:config.Config.bus problem
+                  { design with Design.reexecs }))
+      | Some _, None | None, Some _ ->
+          Alcotest.fail "evaluation disagrees with the oracle ascent")
+    [ 1e-6; 1e-9 ]
 
 (* --- Candidate evaluation: memoized = fresh = from-scratch SFP --- *)
 
@@ -313,15 +304,16 @@ let result_opt_eq a b =
 
 (* The margin comes from the failure the k-search accepted (one SFP pass
    per evaluation), and memo keys share the design's arrays: a miss, a
-   hit and an unmemoized evaluation must agree bit for bit, and the
-   margin and length must equal a from-scratch [Sfp.evaluate] and
-   reference schedule of the returned design — in both kernel modes,
-   across every slack x bus policy. *)
+   hit and an unmemoized evaluation must agree bit for bit, across
+   every slack x bus policy.  Each evaluation is also checked call by
+   call: its re-executions must be the oracle ascent's (no result when
+   the oracle finds the goal unreachable), its margin a from-scratch
+   [Sfp.evaluate] of the returned design and its length the oracle
+   schedule's. *)
 let prop_memoized_evaluation_matches_from_scratch =
   QCheck.Test.make ~count:20
     ~name:
-      "memoized evaluate = unmemoized = from-scratch (all policies, both \
-       kernels)"
+      "memoized evaluate = unmemoized = from-scratch = oracle (all policies)"
     QCheck.(int_bound 100_000)
     (fun seed ->
       let prng = Prng.create (seed + 97) in
@@ -337,42 +329,39 @@ let prop_memoized_evaluation_matches_from_scratch =
       let design = random_design prng problem in
       let levels = Array.copy design.Design.levels in
       let n = Task_graph.n (Problem.graph problem) in
-      let check_against_scratch config (r : Redundancy_opt.result) =
-        let verdict = Sfp.evaluate problem r.design in
-        feq r.margin
-          (Sfp.log10_margin problem.Problem.app
-             ~per_iteration_failure:verdict.Sfp.per_iteration_failure)
-        && feq r.schedule_length
-             (Schedule.length
-                (Scheduler.schedule_reference ~slack:config.Config.slack
-                   ~bus:config.Config.bus problem r.design))
-        && r.design.Design.levels = levels
-      in
-      let run_mode mode config =
-        Kernel.with_mode mode (fun () ->
-            let cache = Redundancy_opt.create_cache () in
-            let eval ?cache () =
-              Redundancy_opt.evaluate ?cache config problem design levels
-            in
-            let miss = eval ~cache () in
-            let hit = eval ~cache () in
-            let fresh = eval () in
-            let ok =
-              result_opt_eq miss hit && result_opt_eq miss fresh
-              && match miss with
-                 | None -> true
-                 | Some r -> check_against_scratch config r
-            in
-            (ok, miss))
+      let matches_oracle config = function
+        | None ->
+            Oracle.Re_execution_opt.for_mapping ~kmax:config.Config.kmax
+              problem
+              (Design.with_levels design levels)
+            = None
+        | Some (r : Redundancy_opt.result) ->
+            let verdict = Sfp.evaluate problem r.design in
+            Oracle.Re_execution_opt.for_mapping ~kmax:config.Config.kmax
+              problem r.design
+            = Some r.design.Design.reexecs
+            && feq r.margin
+                 (Sfp.log10_margin problem.Problem.app
+                    ~per_iteration_failure:verdict.Sfp.per_iteration_failure)
+            && feq r.schedule_length
+                 (Oracle.Scheduler.schedule_length ~slack:config.Config.slack
+                    ~bus:config.Config.bus problem r.design)
+            && r.design.Design.levels = levels
       in
       List.for_all
         (fun slack ->
           List.for_all
             (fun bus ->
               let config = Config.make ~slack ~bus () in
-              let ok_inc, inc = run_mode Kernel.Incremental config in
-              let ok_ref, reference = run_mode Kernel.Reference config in
-              ok_inc && ok_ref && result_opt_eq inc reference)
+              let cache = Redundancy_opt.create_cache () in
+              let eval ?cache () =
+                Redundancy_opt.evaluate ?cache config problem design levels
+              in
+              let miss = eval ~cache () in
+              let hit = eval ~cache () in
+              let fresh = eval () in
+              result_opt_eq miss hit && result_opt_eq miss fresh
+              && matches_oracle config miss)
             bus_policies)
         (slack_policies prng n))
 
