@@ -115,10 +115,9 @@ let delta_of_flags delta_json delta_file =
   | None, None -> Error "give a delta: --delta JSON or --delta-file PATH"
   | Some _, Some _ -> Error "give either --delta or --delta-file, not both"
   | Some s, None -> parse "--delta" s
-  | None, Some path -> (
-      match In_channel.with_open_text path In_channel.input_all with
-      | exception Sys_error e -> Error e
-      | contents -> parse ("--delta-file " ^ path) contents)
+  | None, Some path ->
+      Result.bind (Ftes_util.Codec.read_file path)
+        (parse ("--delta-file " ^ path))
 
 let reuse_text (r : Reuse.t) =
   Printf.sprintf
@@ -696,14 +695,13 @@ let analysis_text source strategy problem (pf : Preflight.t) =
   Buffer.contents b
 
 let load_frontier problem path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | contents -> Ftes_pareto.Frontier_io.of_string ~problem contents
+  Result.bind (Ftes_util.Codec.read_file path)
+    (Ftes_pareto.Frontier_io.of_string ~problem)
 
 let run_audit problem config format ~source ~strategy ~cert_path
     ~frontier_path =
   match Certificate_io.load cert_path with
-  | Error e -> fail "--audit %s: %s" cert_path e
+  | Error e -> fail "--audit %s" e
   | Ok cert -> (
       let subject =
         Subject.with_certificate
@@ -864,7 +862,7 @@ let exact_text source strategy (cert : Bnb_certificate.t) =
 
 let run_exact_audit problem config format ~source ~strategy ~cert_path =
   match Bnb_certificate_io.load cert_path with
-  | Error e -> fail "--audit %s: %s" cert_path e
+  | Error e -> fail "--audit %s" e
   | Ok cert ->
       let subject =
         Subject.with_bnb_certificate
@@ -1171,15 +1169,8 @@ let dir_term =
        & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"Campaign directory.")
 
 let read_json_file path =
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Json.of_string text with
-  | Ok json -> Ok json
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
+  Result.bind (Ftes_util.Codec.read_file path) (fun text ->
+      Result.map_error (Printf.sprintf "%s: %s" path) (Json.of_string text))
 
 let policy_of_cli = function
   | "opt" | "OPT" -> Ok Config.Optimize

@@ -1,244 +1,108 @@
-module Json = Ftes_util.Json
-open Json
+open Bnb_certificate
+open Ftes_util.Codec
 
 let schema_version = 1
+let ints = array int
 
-(* "no solution on that side" costs are [infinity] in memory; JSON has
-   no infinities, so they travel as null. *)
-let opt_number = Ftes_util.Versioned_json.opt_number
-
-let int_array a =
-  List (Array.to_list (Array.map (fun i -> Number (float_of_int i)) a))
-
-let prefix_json prefix = ("prefix", int_array prefix)
-
-let prune_to_json (p : Bnb_certificate.prune) =
-  match p with
-  | Bnb_certificate.Cost_bound { prefix; lower_bound; incumbent_cost } ->
-      Object
-        [ ("kind", String "cost-bound");
-          prefix_json prefix;
-          ("lower_bound", Number lower_bound);
-          ("incumbent_cost", Number incumbent_cost) ]
-  | Bnb_certificate.Arch_infeasible
-      { prefix; subtree; verdict = Bnb_certificate.Unreliable proc } ->
-      Object
-        [ ("kind", String "arch-unreliable");
-          prefix_json prefix;
-          ("subtree", Bool subtree);
-          ("proc", Number (float_of_int proc)) ]
-  | Bnb_certificate.Arch_infeasible
-      { prefix; subtree; verdict = Bnb_certificate.Deadline lb } ->
-      Object
-        [ ("kind", String "arch-deadline");
-          prefix_json prefix;
-          ("subtree", Bool subtree);
-          ("length_lower_bound_ms", Number lb) ]
-  | Bnb_certificate.Symmetry { prefix; skipped; canonical } ->
-      Object
-        [ ("kind", String "symmetry");
-          prefix_json prefix;
-          ("skipped", Number (float_of_int skipped));
-          ("canonical", Number (float_of_int canonical)) ]
-
-let incumbent_to_json (i : Bnb_certificate.incumbent) =
-  Object
-    [ ("members", int_array i.Bnb_certificate.members);
-      ("levels", int_array i.Bnb_certificate.levels);
-      ("reexecs", int_array i.Bnb_certificate.reexecs);
-      ("mapping", int_array i.Bnb_certificate.mapping);
-      ("cost", Number i.Bnb_certificate.cost);
-      ("schedule_length_ms", Number i.Bnb_certificate.schedule_length_ms) ]
-
-let to_json (c : Bnb_certificate.t) =
-  let s = c.Bnb_certificate.summary in
-  let k = c.Bnb_certificate.counters in
-  Object
-    [ Ftes_util.Versioned_json.field schema_version;
-      ( "problem",
-        Object
-          [ ("name", String s.Certificate.name);
-            ("n_processes", Number (float_of_int s.Certificate.n_processes));
-            ("n_library", Number (float_of_int s.Certificate.n_library));
-            ("deadline_ms", Number s.Certificate.deadline_ms);
-            ("period_ms", Number s.Certificate.period_ms);
-            ("gamma", Number s.Certificate.gamma);
-            ("mu_ms", Number s.Certificate.mu_ms) ] );
-      ( "premises",
-        Object
-          [ ("kmax", Number (float_of_int c.Bnb_certificate.kmax));
-            ("search_space", Number c.Bnb_certificate.search_space);
-            ( "represented_subsets",
-              Number c.Bnb_certificate.represented_subsets ) ] );
-      ( "costs",
-        Object
-          [ ("heuristic", opt_number c.Bnb_certificate.heuristic_cost);
-            ("optimal", opt_number c.Bnb_certificate.optimal_cost) ] );
-      ( "incumbent",
-        match c.Bnb_certificate.incumbent with
-        | Some i -> incumbent_to_json i
-        | None -> Null );
-      ( "counters",
-        Object
-          [ ("expanded", Number (float_of_int k.Bnb_certificate.expanded));
-            ("closed", Number (float_of_int k.Bnb_certificate.closed));
-            ("evaluated", Number (float_of_int k.Bnb_certificate.evaluated));
-            ( "pruned_cost",
-              Number (float_of_int k.Bnb_certificate.pruned_cost) );
-            ( "pruned_arch",
-              Number (float_of_int k.Bnb_certificate.pruned_arch) );
-            ( "pruned_symmetry",
-              Number (float_of_int k.Bnb_certificate.pruned_symmetry) );
-            ( "pruned_levels",
-              Number (float_of_int k.Bnb_certificate.pruned_levels) );
-            ( "pruned_mappings",
-              Number (float_of_int k.Bnb_certificate.pruned_mappings) ) ] );
-      ( "prunes",
-        List (List.map prune_to_json c.Bnb_certificate.prunes) ) ]
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let opt_float = Ftes_util.Versioned_json.opt_float
-
-let int_array_of json =
-  let* items = to_list json in
-  let* ints = map_result to_int items in
-  Ok (Array.of_list ints)
-
-let summary_of_json json =
-  let* name = Result.bind (member "name" json) to_string_value in
-  let* n_processes = Result.bind (member "n_processes" json) to_int in
-  let* n_library = Result.bind (member "n_library" json) to_int in
-  let* deadline_ms = Result.bind (member "deadline_ms" json) to_float in
-  let* period_ms = Result.bind (member "period_ms" json) to_float in
-  let* gamma = Result.bind (member "gamma" json) to_float in
-  let* mu_ms = Result.bind (member "mu_ms" json) to_float in
-  Ok
-    { Certificate.name;
-      n_processes;
-      n_library;
-      deadline_ms;
-      period_ms;
-      gamma;
-      mu_ms }
-
-let prune_of_json json =
-  let* kind = Result.bind (member "kind" json) to_string_value in
-  let* prefix = Result.bind (member "prefix" json) int_array_of in
-  match kind with
-  | "cost-bound" ->
-      let* lower_bound = Result.bind (member "lower_bound" json) to_float in
-      let* incumbent_cost =
-        Result.bind (member "incumbent_cost" json) to_float
-      in
-      Ok (Bnb_certificate.Cost_bound { prefix; lower_bound; incumbent_cost })
-  | "arch-unreliable" ->
-      let* subtree = Result.bind (member "subtree" json) to_bool in
-      let* proc = Result.bind (member "proc" json) to_int in
-      Ok
-        (Bnb_certificate.Arch_infeasible
-           { prefix; subtree; verdict = Bnb_certificate.Unreliable proc })
-  | "arch-deadline" ->
-      let* subtree = Result.bind (member "subtree" json) to_bool in
-      let* lb =
-        Result.bind (member "length_lower_bound_ms" json) to_float
-      in
-      Ok
-        (Bnb_certificate.Arch_infeasible
-           { prefix; subtree; verdict = Bnb_certificate.Deadline lb })
-  | "symmetry" ->
-      let* skipped = Result.bind (member "skipped" json) to_int in
-      let* canonical = Result.bind (member "canonical" json) to_int in
-      Ok (Bnb_certificate.Symmetry { prefix; skipped; canonical })
-  | other -> Error (Printf.sprintf "prune: unknown kind %S" other)
-
-let incumbent_of_json json =
-  let* members = Result.bind (member "members" json) int_array_of in
-  let* levels = Result.bind (member "levels" json) int_array_of in
-  let* reexecs = Result.bind (member "reexecs" json) int_array_of in
-  let* mapping = Result.bind (member "mapping" json) int_array_of in
-  let* cost = Result.bind (member "cost" json) to_float in
-  let* schedule_length_ms =
-    Result.bind (member "schedule_length_ms" json) to_float
+let prune : prune t =
+  let arch name key c verdict project =
+    case name project
+      (let+ prefix = field "prefix" ints (fun (p, _, _) -> p)
+       and+ subtree = field "subtree" bool (fun (_, s, _) -> s)
+       and+ v = field key c (fun (_, _, v) -> v) in
+       Arch_infeasible { prefix; subtree; verdict = verdict v })
   in
-  Ok
-    { Bnb_certificate.members;
-      levels;
-      reexecs;
-      mapping;
-      cost;
-      schedule_length_ms }
+  union ~what:"prune" ~tag:"kind"
+    [ case "cost-bound"
+        (function
+          | Cost_bound { prefix; lower_bound; incumbent_cost } ->
+              Some (prefix, lower_bound, incumbent_cost)
+          | _ -> None)
+        (let+ prefix = field "prefix" ints (fun (p, _, _) -> p)
+         and+ lower_bound = field "lower_bound" float (fun (_, l, _) -> l)
+         and+ incumbent_cost = field "incumbent_cost" float (fun (_, _, c) -> c)
+         in
+         Cost_bound { prefix; lower_bound; incumbent_cost });
+      arch "arch-unreliable" "proc" int
+        (fun proc -> Unreliable proc)
+        (function
+          | Arch_infeasible { prefix; subtree; verdict = Unreliable proc } ->
+              Some (prefix, subtree, proc)
+          | _ -> None);
+      arch "arch-deadline" "length_lower_bound_ms" float
+        (fun lb -> Deadline lb)
+        (function
+          | Arch_infeasible { prefix; subtree; verdict = Deadline lb } ->
+              Some (prefix, subtree, lb)
+          | _ -> None);
+      case "symmetry"
+        (function
+          | Symmetry { prefix; skipped; canonical } ->
+              Some (prefix, skipped, canonical)
+          | _ -> None)
+        (let+ prefix = field "prefix" ints (fun (p, _, _) -> p)
+         and+ skipped = field "skipped" int (fun (_, s, _) -> s)
+         and+ canonical = field "canonical" int (fun (_, _, c) -> c) in
+         Symmetry { prefix; skipped; canonical }) ]
 
-let default_warn msg = Printf.eprintf "bnb_certificate_io: warning: %s\n%!" msg
+let incumbent : incumbent t =
+  obj
+    (let+ members = field "members" ints (fun i -> i.members)
+     and+ levels = field "levels" ints (fun i -> i.levels)
+     and+ reexecs = field "reexecs" ints (fun i -> i.reexecs)
+     and+ mapping = field "mapping" ints (fun i -> i.mapping)
+     and+ cost = field "cost" float (fun i -> i.cost)
+     and+ schedule_length_ms =
+       field "schedule_length_ms" float (fun i -> i.schedule_length_ms)
+     in
+     { members; levels; reexecs; mapping; cost; schedule_length_ms })
 
-let of_json ?(on_warning = default_warn) json =
-  let* () =
-    Ftes_util.Versioned_json.check ~what:"optimality certificate"
-      ~accept_v0:false ~on_warning ~current:schema_version json
-  in
-  let* summary = Result.bind (member "problem" json) summary_of_json in
-  let* premises = member "premises" json in
-  let* kmax = Result.bind (member "kmax" premises) to_int in
-  let* search_space = Result.bind (member "search_space" premises) to_float in
-  let* represented_subsets =
-    Result.bind (member "represented_subsets" premises) to_float
-  in
-  let* costs = member "costs" json in
-  let* heuristic_cost = Result.bind (member "heuristic" costs) opt_float in
-  let* optimal_cost = Result.bind (member "optimal" costs) opt_float in
-  let* incumbent =
-    match member "incumbent" json with
-    | Ok Null -> Ok None
-    | Ok j ->
-        let* i = incumbent_of_json j in
-        Ok (Some i)
-    | Error e -> Error e
-  in
-  let* counters = member "counters" json in
-  let field name = Result.bind (member name counters) to_int in
-  let* expanded = field "expanded" in
-  let* closed = field "closed" in
-  let* evaluated = field "evaluated" in
-  let* pruned_cost = field "pruned_cost" in
-  let* pruned_arch = field "pruned_arch" in
-  let* pruned_symmetry = field "pruned_symmetry" in
-  let* pruned_levels = field "pruned_levels" in
-  let* pruned_mappings = field "pruned_mappings" in
-  let* prune_items = Result.bind (member "prunes" json) to_list in
-  let* prunes = map_result prune_of_json prune_items in
-  Ok
-    { Bnb_certificate.summary;
-      kmax;
-      search_space;
-      represented_subsets;
-      heuristic_cost;
-      optimal_cost;
-      incumbent;
-      counters =
-        { Bnb_certificate.expanded;
-          closed;
-          evaluated;
-          pruned_cost;
-          pruned_arch;
-          pruned_symmetry;
-          pruned_levels;
-          pruned_mappings };
-      prunes }
+let counters : counters t =
+  obj
+    (let+ expanded = field "expanded" int (fun k -> k.expanded)
+     and+ closed = field "closed" int (fun k -> k.closed)
+     and+ evaluated = field "evaluated" int (fun k -> k.evaluated)
+     and+ pruned_cost = field "pruned_cost" int (fun k -> k.pruned_cost)
+     and+ pruned_arch = field "pruned_arch" int (fun k -> k.pruned_arch)
+     and+ pruned_symmetry =
+       field "pruned_symmetry" int (fun k -> k.pruned_symmetry)
+     and+ pruned_levels = field "pruned_levels" int (fun k -> k.pruned_levels)
+     and+ pruned_mappings =
+       field "pruned_mappings" int (fun k -> k.pruned_mappings)
+     in
+     { expanded; closed; evaluated; pruned_cost; pruned_arch;
+       pruned_symmetry; pruned_levels; pruned_mappings })
 
-let to_string c = Json.to_string (to_json c)
+let codec : Bnb_certificate.t t =
+  versioned ~what:"optimality certificate" ~current:schema_version
+    ~accept_v0:false
+    (obj
+       (let+ summary =
+          field "problem" Certificate_io.summary (fun c -> c.summary)
+        and+ kmax, search_space, represented_subsets =
+          group "premises"
+            (let+ kmax = field "kmax" int (fun c -> c.kmax)
+             and+ search_space = field "search_space" float (fun c ->
+                 c.search_space)
+             and+ represented_subsets =
+               field "represented_subsets" float (fun c ->
+                   c.represented_subsets)
+             in
+             (kmax, search_space, represented_subsets))
+        and+ heuristic_cost, optimal_cost =
+          group "costs"
+            (let+ heuristic = field "heuristic" float_or_null (fun c ->
+                 c.heuristic_cost)
+             and+ optimal = field "optimal" float_or_null (fun c ->
+                 c.optimal_cost) in
+             (heuristic, optimal))
+        and+ incumbent =
+          field "incumbent" (nullable incumbent) (fun c -> c.incumbent)
+        and+ counters = field "counters" counters (fun c -> c.counters)
+        and+ prunes = field "prunes" (list prune) (fun c -> c.prunes) in
+        { summary; kmax; search_space; represented_subsets; heuristic_cost;
+          optimal_cost; incumbent; counters; prunes }))
 
-let of_string ?on_warning s =
-  Result.bind (Json.of_string s) (of_json ?on_warning)
-
-let save path c =
-  Ftes_util.Atomic_file.write_string path (to_string c ^ "\n")
-
-let load ?on_warning path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | contents -> of_string ?on_warning contents
-  | exception Sys_error e -> Error e
+let to_json = encode codec
+let save path c = save codec path c
+let load ?on_warning path = load ?on_warning codec path

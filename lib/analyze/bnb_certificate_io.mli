@@ -17,30 +17,13 @@
 
     Unbounded costs ([infinity], meaning "no solution on that side")
     are encoded as JSON [null]; an infeasible run has a [null]
-    incumbent.
-
-    {2 Versioning}
-
-    Mirrors {!Certificate_io} / [Ftes_model.Problem_io]: writers stamp
-    {!schema_version} (currently 1); readers accept version 1, treat a
-    document without the field as the deprecated v0 format (reported
-    through [on_warning]) and reject any other version. *)
+    incumbent.  Versioning follows {!Ftes_util.Codec}, except that an
+    explicit v0 is rejected. *)
 
 val schema_version : int
 
+val codec : Bnb_certificate.t Ftes_util.Codec.t
 val to_json : Bnb_certificate.t -> Ftes_util.Json.t
-
-val of_json :
-  ?on_warning:(string -> unit) ->
-  Ftes_util.Json.t ->
-  (Bnb_certificate.t, string) result
-
-val to_string : Bnb_certificate.t -> string
-
-val of_string :
-  ?on_warning:(string -> unit) ->
-  string ->
-  (Bnb_certificate.t, string) result
 
 val save : string -> Bnb_certificate.t -> unit
 (** Write to a file (overwrites). *)

@@ -18,28 +18,17 @@
     v}
 
     Unbounded values ([infinity], meaning "no admissible assignment")
-    are encoded as JSON [null].
-
-    {2 Versioning}
-
-    Mirrors {!Ftes_model.Problem_io}: writers stamp {!schema_version}
-    (currently 1); readers accept version 1, treat a document without
-    the field as the deprecated v0 format (same payload, deprecation
-    reported through [on_warning]) and reject any other version. *)
+    are encoded as JSON [null].  Versioning follows
+    {!Ftes_util.Codec}, except that an explicit v0 is rejected. *)
 
 val schema_version : int
 
+val codec : Certificate.t Ftes_util.Codec.t
+
+val summary : Certificate.summary Ftes_util.Codec.t
+(** The ["problem"] object, shared with {!Bnb_certificate_io}. *)
+
 val to_json : Certificate.t -> Ftes_util.Json.t
-
-val of_json :
-  ?on_warning:(string -> unit) ->
-  Ftes_util.Json.t ->
-  (Certificate.t, string) result
-
-val to_string : Certificate.t -> string
-
-val of_string :
-  ?on_warning:(string -> unit) -> string -> (Certificate.t, string) result
 
 val save : string -> Certificate.t -> unit
 (** Write to a file (overwrites). *)

@@ -1,9 +1,10 @@
-module Json = Ftes_util.Json
+module Codec = Ftes_util.Codec
 module Config = Ftes_core.Config
 module Workload = Ftes_gen.Workload
 module Synthetic = Ftes_exp.Synthetic
 module Frontier_io = Ftes_pareto.Frontier_io
-open Json
+
+let ( let* ) = Result.bind
 
 let schema_version = 1
 
@@ -36,172 +37,130 @@ let create ~manifest ~shard =
     cells = [];
   }
 
-let cell_to_json (c : cell_result) =
-  Object
-    [ ("ser", Number c.key.Synthetic.ser);
-      ("hpd", Number c.key.Synthetic.hpd);
-      ("policy", String (Config.policy_name c.key.Synthetic.policy));
-      ("elapsed_s", Number c.elapsed_s);
-      ( "costs",
-        List
-          (Array.to_list
-             (Array.map
-                (function Some v -> Number v | None -> Null)
-                c.costs)) );
-      ( "points",
-        List
-          (List.map
-             (fun (app, p) ->
-               match Frontier_io.point_to_json p with
-               | Object fields ->
-                   Object (("app", Number (float_of_int app)) :: fields)
-               | _ -> assert false)
-             c.points) ) ]
+let cell =
+  let open Codec in
+  let point =
+    obj
+      (let+ app = field "app" int fst
+       and+ p = splice snd Frontier_io.point_fields in
+       (app, p))
+  in
+  obj
+    (let+ ser = field "ser" float (fun c -> c.key.Synthetic.ser)
+     and+ hpd = field "hpd" float (fun c -> c.key.Synthetic.hpd)
+     and+ policy =
+       field "policy" Manifest.policy (fun c -> c.key.Synthetic.policy)
+     and+ elapsed_s = field "elapsed_s" float (fun c -> c.elapsed_s)
+     and+ costs = field "costs" (array (nullable float)) (fun c -> c.costs)
+     and+ points = field "points" (list point) (fun c -> c.points) in
+     { key = { Synthetic.ser; hpd; policy }; costs; points; elapsed_s })
 
-let to_json t =
-  Object
-    [ Ftes_util.Versioned_json.field schema_version;
-      ("manifest_fingerprint", String t.manifest_fingerprint);
-      ("shard", Number (float_of_int t.shard));
-      ("lo", Number (float_of_int t.lo));
-      ("hi", Number (float_of_int t.hi));
-      ("complete", Bool t.complete);
-      ("cells", List (List.map cell_to_json t.cells)) ]
-
-let costs_of_json ~lo ~hi json =
-  let* items = to_list json in
-  if List.length items <> hi - lo then
-    Error
-      (Printf.sprintf "costs: expected %d entries, found %d" (hi - lo)
-         (List.length items))
-  else
-    let rec build acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | Null :: rest -> build (None :: acc) rest
-      | item :: rest ->
-          let* v = to_float item in
-          if Float.is_finite v then build (Some v :: acc) rest
-          else Error "costs: non-finite cost"
-    in
-    build [] items
+let codec =
+  let open Codec in
+  versioned ~what:"campaign checkpoint" ~current:schema_version
+    ~accept_v0:false
+    (obj
+       (let+ manifest_fingerprint =
+          field "manifest_fingerprint" string (fun t -> t.manifest_fingerprint)
+        and+ shard = field "shard" int (fun t -> t.shard)
+        and+ lo = field "lo" int (fun t -> t.lo)
+        and+ hi = field "hi" int (fun t -> t.hi)
+        and+ complete = field "complete" bool (fun t -> t.complete)
+        and+ cells = field "cells" (list cell) (fun t -> t.cells) in
+        { manifest_fingerprint; shard; lo; hi; complete; cells }))
 
 (* [specs] covers the shard's range: application [app]'s spec is at
    offset [app - lo].  Every point's design is re-validated against the
    problem regenerated for (cell, application). *)
-let cell_of_json ~manifest ~specs ~lo ~hi ~index json =
-  let expected = List.nth (Manifest.cells manifest) index in
-  let* ser = Result.bind (member "ser" json) to_float in
-  let* hpd = Result.bind (member "hpd" json) to_float in
-  let* policy_name = Result.bind (member "policy" json) to_string_value in
+let check_cell ~manifest ~specs ~lo ~hi ~index (expected : Synthetic.cell_key)
+    c =
   let named p = Config.policy_name p in
-  if
-    ser <> expected.Synthetic.ser
-    || hpd <> expected.Synthetic.hpd
-    || policy_name <> named expected.Synthetic.policy
-  then
+  let n_costs = Array.length c.costs in
+  if c.key <> expected then
     Error
       (Printf.sprintf
          "cell %d: key (%g, %g, %s) does not match the manifest grid \
           (%g, %g, %s)"
-         index ser hpd policy_name expected.Synthetic.ser
-         expected.Synthetic.hpd
-         (named expected.Synthetic.policy))
-  else
-    let* elapsed_s = Result.bind (member "elapsed_s" json) to_float in
-    let* costs = Result.bind (member "costs" json) (costs_of_json ~lo ~hi) in
-    let* items = Result.bind (member "points" json) to_list in
-    let cell = { Workload.ser = expected.Synthetic.ser; hpd = expected.Synthetic.hpd } in
-    let rec build acc row = function
-      | [] -> Ok (List.rev acc)
-      | item :: rest ->
-          let* app = Result.bind (member "app" item) to_int in
-          if app < lo || app >= hi then
-            Error
-              (Printf.sprintf
-                 "cell %d, point %d: application %d outside the shard \
-                  range [%d, %d)"
-                 index row app lo hi)
-          else
-            let spec = List.nth specs (app - lo) in
-            let problem =
-              Workload.problem_of_spec ~params:manifest.Manifest.params cell
-                spec
-            in
-            let* p = Frontier_io.point_of_json ~problem ~row item in
-            build ((app, p) :: acc) (row + 1) rest
-    in
-    let* points = build [] 1 items in
-    Ok { key = expected; costs; points; elapsed_s }
-
-let of_json ~manifest json =
-  let* () =
-    Ftes_util.Versioned_json.check ~what:"campaign checkpoint"
-      ~accept_v0:false ~current:schema_version json
-  in
-  let* fp = Result.bind (member "manifest_fingerprint" json) to_string_value in
-  let expected_fp = Manifest.fingerprint manifest in
-  if fp <> expected_fp then
+         index c.key.ser c.key.hpd (named c.key.policy) expected.ser
+         expected.hpd (named expected.policy))
+  else if n_costs <> hi - lo then
     Error
-      (Printf.sprintf
-         "manifest fingerprint %s does not match this campaign (%s)" fp
-         expected_fp)
+      (Printf.sprintf "costs: expected %d entries, found %d" (hi - lo) n_costs)
+  else if
+    Array.exists
+      (function Some v -> not (Float.is_finite v) | None -> false)
+      c.costs
+  then Error "costs: non-finite cost"
   else
-    let* shard = Result.bind (member "shard" json) to_int in
-    if shard < 0 || shard >= manifest.Manifest.shards then
-      Error (Printf.sprintf "shard %d outside [0, %d)" shard manifest.Manifest.shards)
-    else
-      let exp_lo, exp_hi = Manifest.shard_range manifest shard in
-      let* lo = Result.bind (member "lo" json) to_int in
-      let* hi = Result.bind (member "hi" json) to_int in
-      if lo <> exp_lo || hi <> exp_hi then
-        Error
-          (Printf.sprintf
-             "shard %d: range [%d, %d) does not match the plan [%d, %d)"
-             shard lo hi exp_lo exp_hi)
-      else
-        let* complete = Result.bind (member "complete" json) to_bool in
-        let* items = Result.bind (member "cells" json) to_list in
-        let n_cells = Manifest.n_cells manifest in
-        if List.length items > n_cells then
-          Error
-            (Printf.sprintf "%d cells recorded, the grid has only %d"
-               (List.length items) n_cells)
-        else if complete && List.length items <> n_cells then
+    let cell = { Workload.ser = expected.ser; hpd = expected.hpd } in
+    let rec check acc row = function
+      | [] -> Ok { c with points = List.rev acc }
+      | (app, _) :: _ when app < lo || app >= hi ->
           Error
             (Printf.sprintf
-               "marked complete with %d of %d cells recorded"
-               (List.length items) n_cells)
-        else
-          let specs = Manifest.specs_for_shard manifest shard in
-          let rec build acc index = function
-            | [] -> Ok (List.rev acc)
-            | item :: rest ->
-                let* c =
-                  cell_of_json ~manifest ~specs ~lo ~hi ~index item
-                in
-                build (c :: acc) (index + 1) rest
+               "cell %d, point %d: application %d outside the shard range \
+                [%d, %d)"
+               index row app lo hi)
+      | (app, p) :: rest ->
+          let problem =
+            Workload.problem_of_spec ~params:manifest.Manifest.params cell
+              specs.(app - lo)
           in
-          let* cells = build [] 0 items in
-          Ok { manifest_fingerprint = fp; shard; lo; hi; complete; cells }
+          let* p = Frontier_io.check_point ~problem ~row p in
+          check ((app, p) :: acc) (row + 1) rest
+    in
+    check [] 1 c.points
 
-let save ~dir t =
-  Ftes_util.Atomic_file.write_string (path ~dir t.shard)
-    (Json.to_string (to_json t) ^ "\n")
+let check ~manifest t =
+  let expected_fp = Manifest.fingerprint manifest in
+  let n_cells = Manifest.n_cells manifest in
+  let n = List.length t.cells in
+  if t.manifest_fingerprint <> expected_fp then
+    Error
+      (Printf.sprintf
+         "manifest fingerprint %s does not match this campaign (%s)"
+         t.manifest_fingerprint expected_fp)
+  else if t.shard < 0 || t.shard >= manifest.Manifest.shards then
+    Error
+      (Printf.sprintf "shard %d outside [0, %d)" t.shard
+         manifest.Manifest.shards)
+  else
+    let exp_lo, exp_hi = Manifest.shard_range manifest t.shard in
+    if t.lo <> exp_lo || t.hi <> exp_hi then
+      Error
+        (Printf.sprintf
+           "shard %d: range [%d, %d) does not match the plan [%d, %d)" t.shard
+           t.lo t.hi exp_lo exp_hi)
+    else if n > n_cells then
+      Error
+        (Printf.sprintf "%d cells recorded, the grid has only %d" n n_cells)
+    else if t.complete && n <> n_cells then
+      Error
+        (Printf.sprintf "marked complete with %d of %d cells recorded" n
+           n_cells)
+    else
+      let specs = Array.of_list (Manifest.specs_for_shard manifest t.shard) in
+      (* [n <= n_cells]: the recorded cells run out first. *)
+      let rec cells acc index expected recorded =
+        match (expected, recorded) with
+        | key :: expected, c :: recorded ->
+            let* c =
+              check_cell ~manifest ~specs ~lo:t.lo ~hi:t.hi ~index key c
+            in
+            cells (c :: acc) (index + 1) expected recorded
+        | _ -> Ok { t with cells = List.rev acc }
+      in
+      cells [] 0 (Manifest.cells manifest) t.cells
+
+let save ~dir t = Codec.save codec (path ~dir t.shard) t
 
 let load ~manifest ~dir shard =
   let file = path ~dir shard in
   if not (Sys.file_exists file) then
     Error (Printf.sprintf "%s: no checkpoint" file)
   else
-    let text =
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Result.bind (Json.of_string text) (of_json ~manifest) with
-    | Ok t when t.shard <> shard ->
-        Error
-          (Printf.sprintf "%s: holds shard %d, expected %d" file t.shard shard)
-    | Ok t -> Ok t
-    | Error e -> Error (Printf.sprintf "%s: %s" file e)
+    let* t = Codec.load codec file in
+    Result.map_error (Printf.sprintf "%s: %s" file)
+      (if t.shard <> shard then
+         Error (Printf.sprintf "holds shard %d, expected %d" t.shard shard)
+       else check ~manifest t)

@@ -44,9 +44,12 @@ val path : dir:string -> int -> string
 val create : manifest:Manifest.t -> shard:int -> t
 (** Empty (no cells, incomplete) checkpoint for the shard. *)
 
-val to_json : t -> Ftes_util.Json.t
+val codec : t Ftes_util.Codec.t
+(** The document's structure alone; {!check} validates it. *)
 
-val of_json : manifest:Manifest.t -> Ftes_util.Json.t -> (t, string) result
+val check : manifest:Manifest.t -> t -> (t, string) result
+(** Validate a decoded checkpoint against the manifest, as described
+    above. *)
 
 val save : dir:string -> t -> unit
 (** Atomic write of {!path}. *)

@@ -1,7 +1,6 @@
-module Json = Ftes_util.Json
+module Codec = Ftes_util.Codec
 module Workload = Ftes_gen.Workload
 module Config = Ftes_core.Config
-open Json
 
 let schema_version = 1
 
@@ -68,125 +67,70 @@ let specs_for_shard t i =
 
 let archive_spec t = Ftes_pareto.Archive.spec ~eps:t.eps ()
 
-let pair_json (a, b) = List [ Number a; Number b ]
+let policy =
+  Codec.conv Config.policy_name
+    (function
+      | "OPT" -> Ok Config.Optimize
+      | "MIN" -> Ok Config.Fixed_min
+      | "MAX" -> Ok Config.Fixed_max
+      | name -> Error (Printf.sprintf "unknown hardening policy %S" name))
+    Codec.string
 
-let params_to_json (p : Workload.params) =
-  Object
-    [ ("n_library", Number (float_of_int p.n_library));
-      ("levels", Number (float_of_int p.levels));
-      ("base_wcet_range", pair_json p.base_wcet_range);
-      ("cost_range", pair_json p.cost_range);
-      ("speed_range", pair_json p.speed_range);
-      ("mu_fraction_range", pair_json p.mu_fraction_range);
-      ("gamma_range", pair_json p.gamma_range);
-      ("deadline_factor_range", pair_json p.deadline_factor_range);
-      ("reduction_factor", Number p.reduction_factor);
-      ("clock_hz", Number p.clock_hz) ]
-
-let to_json t =
-  Object
-    [ Ftes_util.Versioned_json.field schema_version;
-      ("apps", Number (float_of_int t.apps));
-      ("seed", Number (float_of_int t.seed));
-      ("shards", Number (float_of_int t.shards));
-      ("sers", List (List.map (fun v -> Number v) t.sers));
-      ("hpds", List (List.map (fun v -> Number v) t.hpds));
-      ( "policies",
-        List (List.map (fun p -> String (Config.policy_name p)) t.policies) );
-      ("eps", Number t.eps);
-      ("params", params_to_json t.params) ]
-
-let policy_of_name = function
-  | "OPT" -> Ok Config.Optimize
-  | "MIN" -> Ok Config.Fixed_min
-  | "MAX" -> Ok Config.Fixed_max
-  | name -> Error (Printf.sprintf "unknown hardening policy %S" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let pair_of_json json =
-  let* items = to_list json in
-  match items with
-  | [ a; b ] ->
-      let* a = to_float a in
-      let* b = to_float b in
-      Ok (a, b)
-  | _ -> Error "expected a [lo, hi] pair"
-
-let params_of_json json =
-  let field name f = Result.bind (member name json) f in
-  let* n_library = field "n_library" to_int in
-  let* levels = field "levels" to_int in
-  let* base_wcet_range = field "base_wcet_range" pair_of_json in
-  let* cost_range = field "cost_range" pair_of_json in
-  let* speed_range = field "speed_range" pair_of_json in
-  let* mu_fraction_range = field "mu_fraction_range" pair_of_json in
-  let* gamma_range = field "gamma_range" pair_of_json in
-  let* deadline_factor_range = field "deadline_factor_range" pair_of_json in
-  let* reduction_factor = field "reduction_factor" to_float in
-  let* clock_hz = field "clock_hz" to_float in
-  Ok
-    {
-      Workload.n_library;
-      levels;
-      base_wcet_range;
-      cost_range;
-      speed_range;
-      mu_fraction_range;
-      gamma_range;
-      deadline_factor_range;
-      reduction_factor;
-      clock_hz;
-    }
-
-let of_json json =
-  let* () =
-    Ftes_util.Versioned_json.check ~what:"campaign manifest" ~accept_v0:false
-      ~current:schema_version json
+let params : Workload.params Codec.t =
+  let open Codec in
+  let range name project =
+    field name
+      (conv
+         (fun (lo, hi) -> [ lo; hi ])
+         (function
+           | [ lo; hi ] -> Ok (lo, hi) | _ -> Error "expected a [lo, hi] pair")
+         (list float))
+      project
   in
-  let* apps = Result.bind (member "apps" json) to_int in
-  let* seed = Result.bind (member "seed" json) to_int in
-  let* shards = Result.bind (member "shards" json) to_int in
-  let floats name =
-    let* items = Result.bind (member name json) to_list in
-    map_result to_float items
-  in
-  let* sers = floats "sers" in
-  let* hpds = floats "hpds" in
-  let* names = Result.bind (member "policies" json) to_list in
-  let* names = map_result to_string_value names in
-  let* policies = map_result policy_of_name names in
-  let* eps = Result.bind (member "eps" json) to_float in
-  let* params = Result.bind (member "params" json) params_of_json in
-  let t = { params; apps; seed; shards; sers; hpds; policies; eps } in
-  match validate t with
-  | () -> Ok t
-  | exception Invalid_argument msg -> Error msg
+  obj
+    (let+ n_library = field "n_library" int (fun p -> p.Workload.n_library)
+     and+ levels = field "levels" int (fun p -> p.Workload.levels)
+     and+ base_wcet_range =
+       range "base_wcet_range" (fun p -> p.Workload.base_wcet_range)
+     and+ cost_range = range "cost_range" (fun p -> p.Workload.cost_range)
+     and+ speed_range = range "speed_range" (fun p -> p.Workload.speed_range)
+     and+ mu_fraction_range =
+       range "mu_fraction_range" (fun p -> p.Workload.mu_fraction_range)
+     and+ gamma_range = range "gamma_range" (fun p -> p.Workload.gamma_range)
+     and+ deadline_factor_range =
+       range "deadline_factor_range" (fun p ->
+           p.Workload.deadline_factor_range)
+     and+ reduction_factor =
+       field "reduction_factor" float (fun p -> p.Workload.reduction_factor)
+     and+ clock_hz = field "clock_hz" float (fun p -> p.Workload.clock_hz) in
+     { Workload.n_library; levels; base_wcet_range; cost_range; speed_range;
+       mu_fraction_range; gamma_range; deadline_factor_range;
+       reduction_factor; clock_hz })
 
-let fingerprint t = Ftes_util.Fingerprint.of_json (to_json t)
+let codec =
+  let open Codec in
+  versioned ~what:"campaign manifest" ~current:schema_version
+    ~accept_v0:false
+    (obj
+       (let* apps = field "apps" int (fun t -> t.apps)
+        and+ seed = field "seed" int (fun t -> t.seed)
+        and+ shards = field "shards" int (fun t -> t.shards)
+        and+ sers = field "sers" (list float) (fun t -> t.sers)
+        and+ hpds = field "hpds" (list float) (fun t -> t.hpds)
+        and+ policies = field "policies" (list policy) (fun t -> t.policies)
+        and+ eps = field "eps" float (fun t -> t.eps)
+        and+ params = field "params" params (fun t -> t.params) in
+        let t = { params; apps; seed; shards; sers; hpds; policies; eps } in
+        guard "campaign manifest" (fun () -> validate t; t)))
+
+let fingerprint t = Ftes_util.Fingerprint.of_json (Codec.encode codec t)
 
 let path ~dir = Filename.concat dir filename
 
-let save ~dir t =
-  Ftes_util.Atomic_file.write_string (path ~dir)
-    (Json.to_string (to_json t) ^ "\n")
+let save ~dir t = Codec.save codec (path ~dir) t
 
 let load ~dir =
   let file = path ~dir in
   if not (Sys.file_exists file) then
     Error (Printf.sprintf "%s: no campaign manifest" file)
-  else
-    let ic = open_in_bin file in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Result.bind (Json.of_string text) of_json with
-    | Ok t -> Ok t
-    | Error e -> Error (Printf.sprintf "%s: %s" file e)
+  else Codec.load codec file

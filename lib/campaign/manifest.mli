@@ -64,12 +64,13 @@ val specs_for_shard : t -> int -> Ftes_gen.Workload.app_spec list
 val archive_spec : t -> Ftes_pareto.Archive.spec
 (** All three objectives at the manifest's [eps]. *)
 
-val to_json : t -> Ftes_util.Json.t
+val codec : t Ftes_util.Codec.t
 
-val of_json : Ftes_util.Json.t -> (t, string) result
+val policy : Ftes_core.Config.hardening_policy Ftes_util.Codec.t
+(** ["MIN"], ["MAX"] or ["OPT"]. *)
 
 val fingerprint : t -> string
-(** {!Ftes_util.Fingerprint.of_json} of {!to_json} — stable across a
+(** {!Ftes_util.Fingerprint.of_json} of the encoded {!codec} — stable across a
     save/load round-trip. *)
 
 val filename : string

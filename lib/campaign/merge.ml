@@ -112,7 +112,7 @@ let cell_to_json c =
 
 let to_json t =
   Object
-    [ Ftes_util.Versioned_json.field schema_version;
+    [ ("schema_version", Number (float_of_int schema_version));
       ("manifest_fingerprint", String t.manifest_fingerprint);
       ("cells", List (List.map cell_to_json t.cells)) ]
 

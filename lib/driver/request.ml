@@ -1,5 +1,5 @@
 module Json = Ftes_util.Json
-module Versioned_json = Ftes_util.Versioned_json
+module Codec = Ftes_util.Codec
 module Config = Ftes_core.Config
 module Problem = Ftes_model.Problem
 module Problem_io = Ftes_model.Problem_io
@@ -97,202 +97,145 @@ let bus_of_json = function
       else Error "bus: tdma slot_ms must be finite and positive"
   | _ -> Error "bus: expected a string or an object"
 
-(* --- optional-field helpers --- *)
+(* --- the wire description --- *)
 
-let optional key json decode =
-  match Json.member key json with
-  | Error _ -> Ok None
-  | Ok v ->
-      let* v = decode v in
-      Ok (Some v)
-
-(* --- parsing --- *)
-
-let command_of_json name json =
-  match name with
+let command_of ~limit ~eps ~objectives ~ref_cost = function
   | "analyze" -> Ok Analyze
   | "optimize" -> Ok Optimize
-  | "exact" ->
-      let* limit = optional "limit" json Json.to_int in
-      (match limit with
+  | "exact" -> (
+      match limit with
       | Some n when n < 1 -> Error "limit must be positive"
       | _ -> Ok (Exact { limit }))
   | "pareto" ->
-      let* eps = optional "eps" json Json.to_float in
       let eps = Option.value ~default:0.0 eps in
       if not (Float.is_finite eps) || eps < 0.0 then
         Error "eps must be finite and non-negative"
       else
-        let* objectives =
-          optional "objectives" json (fun v ->
-              let* s = Json.to_string_value v in
-              Objective.parse_list s)
-        in
         let objectives = Option.value ~default:Objective.all objectives in
-        let* ref_cost = optional "ref_cost" json Json.to_float in
         Ok (Pareto { eps; objectives; ref_cost })
   | other ->
       Error
         (Printf.sprintf
            "unknown command %S (try analyze, optimize, exact, pareto)" other)
 
-(* Forward compatibility: a v1 envelope carrying a field this build
-   does not know is served, not rejected — the unknown field is ignored
-   with a warning, so envelope growth (as "base_id"/"delta" grew in
-   this version) can never strand an older daemon. *)
-let known_fields =
-  [ "schema_version"; "id"; "command"; "strategy"; "slack"; "bus"; "kmax";
-    "problem"; "example"; "limit"; "eps"; "objectives"; "ref_cost"; "base_id";
-    "delta" ]
-
-let warn_unknown ?on_warning json =
-  match (json, on_warning) with
-  | Json.Object fields, Some warn ->
-      List.iter
-        (fun (key, _) ->
-          if not (List.mem key known_fields) then
-            warn (Printf.sprintf "request: ignoring unknown field %S" key))
-        fields
-  | _ -> ()
-
-let of_json ?on_warning ?resolve_base json =
-  let* () =
-    Versioned_json.check ~what:"request" ~accept_v0:true ?on_warning
-      ~current:schema_version json
+(* Decoding yields a function of the base resolver: a what-if request
+   may name its base instead of carrying a problem, and only a resident
+   session can resolve that name.  Forward compatibility: an unknown
+   field in a v1 envelope is ignored with a warning, never rejected, so
+   envelope growth (as "base_id"/"delta" grew) cannot strand an older
+   daemon. *)
+let wire =
+  let open Codec in
+  let bus = { encode = bus_to_json; decode = (fun ~warn:_ -> bus_of_json) } in
+  let objectives = conv Objective.names Objective.parse_list string in
+  let whatif f t = Option.bind t.whatif f in
+  let+ id = field "id" string (fun t -> t.id)
+  and+ name = field "command" string (fun t -> command_name t.command)
+  and+ strategy = field ~default:"opt" "strategy" string (fun t -> t.strategy)
+  and+ limit =
+    opt "limit" int (fun t ->
+        match t.command with Exact { limit } -> limit | _ -> None)
+  and+ eps =
+    opt "eps" float (fun t ->
+        match t.command with Pareto { eps; _ } -> Some eps | _ -> None)
+  and+ objectives =
+    opt "objectives" objectives (fun t ->
+        match t.command with
+        | Pareto { objectives; _ } -> Some objectives
+        | _ -> None)
+  and+ ref_cost =
+    opt "ref_cost" float (fun t ->
+        match t.command with Pareto { ref_cost; _ } -> ref_cost | _ -> None)
+  and+ slack =
+    opt "slack" string (fun t ->
+        match slack_name t.config.Config.slack with
+        | Ok "shared" | Error _ -> None
+        | Ok name -> Some name)
+  and+ bus =
+    opt "bus" bus (fun t ->
+        match t.config.Config.bus with Bus.Fcfs -> None | bus -> Some bus)
+  and+ kmax =
+    opt "kmax" int (fun t ->
+        let k = t.config.Config.kmax in
+        if k = Config.default.Config.kmax then None else Some k)
+  and+ base_id = opt "base_id" string (whatif (fun w -> w.base_id))
+  and+ delta =
+    opt "delta" Ftes_whatif.Delta.codec (whatif (fun w -> Some w.delta))
+  and+ example =
+    opt "example" string (fun t ->
+        match t.origin with `Example name -> Some name | _ -> None)
+  and+ inline =
+    opt "problem" Problem_io.codec (fun t ->
+        match t.origin with `Inline -> Some t.problem | _ -> None)
   in
-  warn_unknown ?on_warning json;
-  let* id = Result.bind (Json.member "id" json) Json.to_string_value in
-  if id = "" then Error "id must be a non-empty string"
-  else
-    let* name = Result.bind (Json.member "command" json) Json.to_string_value in
-    let* command = command_of_json name json in
-    let* strategy = optional "strategy" json Json.to_string_value in
-    let strategy = Option.value ~default:"opt" strategy in
-    let* config = config_of_strategy strategy in
-    let* slack =
-      optional "slack" json (fun v ->
-          Result.bind (Json.to_string_value v) slack_of_name)
-    in
-    let* bus = optional "bus" json bus_of_json in
-    let* kmax = optional "kmax" json Json.to_int in
-    let* config =
-      match kmax with
-      | Some k when k < 0 -> Error "kmax must be non-negative"
-      | Some k -> Ok (Config.with_kmax k config)
-      | None -> Ok config
-    in
-    let config =
-      config
-      |> (match slack with
-         | Some s -> Config.with_slack s
-         | None -> Fun.id)
-      |> match bus with Some b -> Config.with_bus b | None -> Fun.id
-    in
-    let* delta = optional "delta" json Ftes_whatif.Delta.of_json in
-    let* base_id =
-      optional "base_id" json (fun v ->
-          let* id = Json.to_string_value v in
-          if id = "" then Error "base_id must be a non-empty string" else Ok id)
-    in
-    let* whatif =
-      match (delta, base_id) with
-      | None, None -> Ok None
-      | None, Some _ -> Error "base_id requires a \"delta\""
-      | Some _, _ when command <> Optimize ->
-          Error "\"delta\" is only valid on an optimize request"
-      | Some delta, base_id -> Ok (Some { base_id; delta })
-    in
-    let* problem, origin, source =
-      match (Json.member "problem" json, Json.member "example" json) with
-      | Ok _, Ok _ -> Error "give either \"problem\" or \"example\", not both"
-      | Ok doc, Error _ ->
-          let* problem = Problem_io.of_json ?on_warning doc in
-          let name = problem.Problem.app.Ftes_model.Application.name in
-          Ok (problem, `Inline, "inline:" ^ name)
-      | Error _, Ok name ->
-          let* name = Json.to_string_value name in
-          let* problem = problem_of_example name in
-          Ok (problem, `Example name, "example:" ^ name)
-      | Error _, Error _ -> (
-          (* A what-if request may name its base instead of carrying a
-             problem; the daemon resolves the id against its registry of
-             recorded runs. *)
-          match whatif with
-          | Some { base_id = Some base; _ } -> (
-              match resolve_base with
-              | None ->
-                  Error
-                    "base_id needs a resident session (no base resolver here)"
-              | Some resolve -> (
-                  match resolve base with
-                  | Some problem -> Ok (problem, `Base base, "base:" ^ base)
-                  | None ->
-                      Error (Printf.sprintf "unknown base request id %S" base)))
-          | _ -> Error "request carries neither \"problem\" nor \"example\"")
-    in
-    Ok { id; command; strategy; config; problem; origin; source; whatif }
+  fun resolve_base ->
+    let ( let* ) = Result.bind in
+    if id = "" then Error "id must be a non-empty string"
+    else
+      let* command = command_of ~limit ~eps ~objectives ~ref_cost name in
+      let* config = config_of_strategy strategy in
+      let* slack =
+        match slack with
+        | Some name -> Result.map Option.some (slack_of_name name)
+        | None -> Ok None
+      in
+      let* config =
+        match kmax with
+        | Some k when k < 0 -> Error "kmax must be non-negative"
+        | Some k -> Ok (Config.with_kmax k config)
+        | None -> Ok config
+      in
+      let config =
+        config
+        |> (match slack with Some s -> Config.with_slack s | None -> Fun.id)
+        |> match bus with Some b -> Config.with_bus b | None -> Fun.id
+      in
+      let* whatif =
+        match (delta, base_id) with
+        | _, Some "" -> Error "base_id must be a non-empty string"
+        | None, None -> Ok None
+        | None, Some _ -> Error "base_id requires a \"delta\""
+        | Some _, _ when command <> Optimize ->
+            Error "\"delta\" is only valid on an optimize request"
+        | Some delta, base_id -> Ok (Some { base_id; delta })
+      in
+      let* problem, origin, source =
+        match (inline, example, whatif) with
+        | Some _, Some _, _ ->
+            Error "give either \"problem\" or \"example\", not both"
+        | Some problem, None, _ ->
+            let name = problem.Problem.app.Ftes_model.Application.name in
+            Ok (problem, `Inline, "inline:" ^ name)
+        | None, Some name, _ ->
+            let* problem = problem_of_example name in
+            Ok (problem, `Example name, "example:" ^ name)
+        | None, None, Some { base_id = Some base; _ } -> (
+            (* The daemon resolves the id against its registry of
+               recorded runs. *)
+            match resolve_base with
+            | None ->
+                Error "base_id needs a resident session (no base resolver here)"
+            | Some resolve -> (
+                match resolve base with
+                | Some problem -> Ok (problem, `Base base, "base:" ^ base)
+                | None ->
+                    Error (Printf.sprintf "unknown base request id %S" base)))
+        | None, None, _ ->
+            Error "request carries neither \"problem\" nor \"example\""
+      in
+      Ok { id; command; strategy; config; problem; origin; source; whatif }
+
+let envelope resolve_base =
+  Codec.(
+    versioned ~what:"request" ~current:schema_version ~accept_v0:true
+      (obj ~unknown:"request" (let* resolve = wire in resolve resolve_base)))
+
+let codec = envelope None
 
 let of_string ?on_warning ?resolve_base line =
-  let* json = Json.of_string line in
-  of_json ?on_warning ?resolve_base json
+  Codec.of_string ?on_warning (envelope resolve_base) line
 
-(* --- emission --- *)
-
-let command_fields = function
-  | Analyze | Optimize -> []
-  | Exact { limit } -> (
-      match limit with
-      | Some n -> [ ("limit", Json.Number (float_of_int n)) ]
-      | None -> [])
-  | Pareto { eps; objectives; ref_cost } ->
-      [ ("eps", Json.Number eps);
-        ("objectives", Json.String (Objective.names objectives)) ]
-      @ (match ref_cost with
-        | Some c -> [ ("ref_cost", Json.Number c) ]
-        | None -> [])
-
-let to_json t =
-  let policy_fields =
-    let slack =
-      match slack_name t.config.Config.slack with
-      | Ok "shared" -> []
-      | Ok name -> [ ("slack", Json.String name) ]
-      | Error _ -> []
-    in
-    let bus =
-      match t.config.Config.bus with
-      | Bus.Fcfs -> []
-      | bus -> [ ("bus", bus_to_json bus) ]
-    in
-    let kmax =
-      if t.config.Config.kmax = Config.default.Config.kmax then []
-      else [ ("kmax", Json.Number (float_of_int t.config.Config.kmax)) ]
-    in
-    slack @ bus @ kmax
-  in
-  let whatif_fields =
-    match t.whatif with
-    | None -> []
-    | Some { base_id; delta } ->
-        (match base_id with
-        | Some base -> [ ("base_id", Json.String base) ]
-        | None -> [])
-        @ [ ("delta", Ftes_whatif.Delta.to_json delta) ]
-  in
-  let problem_field =
-    match t.origin with
-    | `Example name -> [ ("example", Json.String name) ]
-    | `Inline -> [ ("problem", Problem_io.to_json t.problem) ]
-    | `Base _ -> [] (* the base_id field names the problem *)
-  in
-  Json.Object
-    ([ Versioned_json.field schema_version;
-       ("id", Json.String t.id);
-       ("command", Json.String (command_name t.command));
-       ("strategy", Json.String t.strategy) ]
-    @ command_fields t.command @ policy_fields @ whatif_fields @ problem_field)
-
-let to_string t = Json.to_string ~minify:true (to_json t)
+let to_string t = Codec.to_string ~minify:true codec t
 
 (* --- programmatic constructor --- *)
 

@@ -27,12 +27,11 @@
       ["base_id"], ["problem"]/["example"] may be omitted entirely and
       the base's problem is resolved from the session registry.
 
-    The envelope follows the {!Ftes_util.Versioned_json} conventions:
-    versionless requests are accepted as v0 with a warning, unknown
-    versions are rejected (with a structured error response, not a
-    daemon crash).  Unknown {e fields} in a known version are ignored
-    with a warning — never rejected — so envelope growth cannot strand
-    an older daemon. *)
+    The envelope is versioned as {!Ftes_util.Codec} describes (v0
+    accepted with a warning; an unknown version is a structured error
+    response, not a daemon crash).  Unknown {e fields} in a known
+    version are ignored with a warning — never rejected — so envelope
+    growth cannot strand an older daemon. *)
 
 type command =
   | Analyze
@@ -77,11 +76,8 @@ val problem_of_example : string -> (Ftes_model.Problem.t, string) result
 
 val config_of_strategy : string -> (Ftes_core.Config.t, string) result
 
-val of_json :
-  ?on_warning:(string -> unit) ->
-  ?resolve_base:(string -> Ftes_model.Problem.t option) ->
-  Ftes_util.Json.t ->
-  (t, string) result
+val codec : t Ftes_util.Codec.t
+(** The envelope; its decoder has no base resolver. *)
 
 val of_string :
   ?on_warning:(string -> unit) ->
@@ -94,13 +90,11 @@ val of_string :
     request carries no ["problem"]/["example"] of its own; without a
     resolver such requests are rejected. *)
 
-val to_json : t -> Ftes_util.Json.t
-(** Re-emit the request (inline problems are embedded as full
-    documents); [of_string (to_string r)] resolves to an equivalent
-    request.  Used by the load generator and the golden files. *)
-
 val to_string : t -> string
-(** Minified single-line {!to_json}, ready for JSONL. *)
+(** The request as one minified JSON line (inline problems embedded as
+    full documents); [of_string (to_string r)] resolves to an
+    equivalent request.  Used by the load generator and the golden
+    files. *)
 
 val make :
   ?id:string ->

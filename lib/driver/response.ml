@@ -1,7 +1,5 @@
 module Json = Ftes_util.Json
-module Versioned_json = Ftes_util.Versioned_json
-
-let ( let* ) = Result.bind
+module Codec = Ftes_util.Codec
 
 let schema_version = 1
 
@@ -49,107 +47,46 @@ type t = {
   telemetry : telemetry option;
 }
 
-let int_field name v = (name, Json.Number (float_of_int v))
-
-let telemetry_json t =
-  Json.Object
-    ([ int_field "queue_wait_ns" t.queue_wait_ns;
-      int_field "wall_ns" t.wall_ns;
-      ( "sfp_cache",
-        Json.Object
-          [ int_field "hits" t.sfp_hits; int_field "misses" t.sfp_misses ] );
-      ( "evals",
-        Json.Object
-          [ int_field "hits" t.eval_hits; int_field "misses" t.eval_misses ]
-      );
-      ( "registry",
-        Json.Object
-          [ int_field "hits" t.registry_hits;
-            int_field "misses" t.registry_misses ] );
-      int_field "cache_problems" t.cache_problems ]
-    @
-    match t.reuse with
-    | Some reuse -> [ ("whatif", Ftes_whatif.Reuse.to_json reuse) ]
-    | None -> [])
-
-let to_json t =
-  Json.Object
-    ([ Versioned_json.field schema_version;
-       ("id", Json.String t.id);
-       int_field "seq" t.seq;
-       ("verdict", Json.String (verdict_name t.verdict));
-       ("payload", t.payload) ]
-    @ (match t.error with
-      | Some msg -> [ ("error", Json.String msg) ]
-      | None -> [])
-    @
-    match t.telemetry with
-    | Some tel -> [ ("telemetry", telemetry_json tel) ]
-    | None -> [])
-
-let to_line t = Json.to_string ~minify:true (to_json t)
-
-let optional key json decode =
-  match Json.member key json with
-  | Error _ -> Ok None
-  | Ok v ->
-      let* v = decode v in
-      Ok (Some v)
-
-let telemetry_of_json json =
-  let int key = Result.bind (Json.member key json) Json.to_int in
-  let pair key json =
-    let* v = Json.member key json in
-    let* hits = Result.bind (Json.member "hits" v) Json.to_int in
-    let* misses = Result.bind (Json.member "misses" v) Json.to_int in
-    Ok (hits, misses)
+let codec =
+  let open Codec in
+  let hits_misses =
+    obj
+      (let+ hits = field "hits" int fst and+ misses = field "misses" int snd in
+       (hits, misses))
   in
-  let* queue_wait_ns = int "queue_wait_ns" in
-  let* wall_ns = int "wall_ns" in
-  let* sfp_hits, sfp_misses = pair "sfp_cache" json in
-  let* eval_hits, eval_misses = pair "evals" json in
-  (* "registry" arrived with the what-if engine; pre-whatif envelopes
-     simply lack it, so absence parses as zero rather than an error. *)
-  let* registry_hits, registry_misses =
-    match pair "registry" json with
-    | Ok counts -> Ok counts
-    | Error _ when Result.is_error (Json.member "registry" json) -> Ok (0, 0)
-    | Error _ as e -> e
+  let telemetry =
+    obj
+      (let+ queue_wait_ns = field "queue_wait_ns" int (fun t -> t.queue_wait_ns)
+       and+ wall_ns = field "wall_ns" int (fun t -> t.wall_ns)
+       and+ sfp_hits, sfp_misses =
+         field "sfp_cache" hits_misses (fun t -> (t.sfp_hits, t.sfp_misses))
+       and+ eval_hits, eval_misses =
+         field "evals" hits_misses (fun t -> (t.eval_hits, t.eval_misses))
+       (* "registry" arrived with the what-if engine; pre-whatif
+          envelopes lack it, so absence reads as zero. *)
+       and+ registry_hits, registry_misses =
+         field ~default:(0, 0) "registry" hits_misses (fun t ->
+             (t.registry_hits, t.registry_misses))
+       and+ cache_problems =
+         field "cache_problems" int (fun t -> t.cache_problems)
+       and+ reuse = opt "whatif" Ftes_whatif.Reuse.codec (fun t -> t.reuse) in
+       { queue_wait_ns; wall_ns; sfp_hits; sfp_misses; eval_hits;
+         eval_misses; cache_problems; registry_hits; registry_misses; reuse })
   in
-  let* cache_problems = int "cache_problems" in
-  let* reuse = optional "whatif" json Ftes_whatif.Reuse.of_json in
-  Ok
-    { queue_wait_ns;
-      wall_ns;
-      sfp_hits;
-      sfp_misses;
-      eval_hits;
-      eval_misses;
-      cache_problems;
-      registry_hits;
-      registry_misses;
-      reuse }
+  let verdict = conv verdict_name verdict_of_name string in
+  let any = { encode = Fun.id; decode = (fun ~warn:_ json -> Ok json) } in
+  versioned ~what:"response" ~current:schema_version ~accept_v0:true
+    (obj
+       (let+ id = field "id" string (fun t -> t.id)
+        and+ seq = field "seq" int (fun t -> t.seq)
+        and+ verdict = field "verdict" verdict (fun t -> t.verdict)
+        and+ payload = field "payload" any (fun t -> t.payload)
+        and+ error = opt "error" string (fun t -> t.error)
+        and+ telemetry = opt "telemetry" telemetry (fun t -> t.telemetry) in
+        { id; seq; verdict; payload; error; telemetry }))
 
-let of_json ?on_warning json =
-  let* () =
-    Versioned_json.check ~what:"response" ~accept_v0:true ?on_warning
-      ~current:schema_version json
-  in
-  let* id = Result.bind (Json.member "id" json) Json.to_string_value in
-  let* seq = Result.bind (Json.member "seq" json) Json.to_int in
-  let* verdict =
-    Result.bind
-      (Result.bind (Json.member "verdict" json) Json.to_string_value)
-      verdict_of_name
-  in
-  let* payload = Json.member "payload" json in
-  let* error = optional "error" json Json.to_string_value in
-  let* telemetry = optional "telemetry" json telemetry_of_json in
-  Ok { id; seq; verdict; payload; error; telemetry }
-
-let of_string ?on_warning line =
-  let* json = Json.of_string line in
-  of_json ?on_warning json
+let to_line t = Codec.to_string ~minify:true codec t
+let of_string ?on_warning line = Codec.of_string ?on_warning codec line
 
 let fingerprint t =
   Printf.sprintf "%s|%s|%s" (verdict_name t.verdict) t.id

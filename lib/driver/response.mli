@@ -66,16 +66,14 @@ type t = {
 
 val schema_version : int
 
-val to_json : t -> Ftes_util.Json.t
+val codec : t Ftes_util.Codec.t
+(** Versioned as {!Ftes_util.Codec} describes. *)
 
 val to_line : t -> string
-(** Minified single-line {!to_json} — the JSONL wire form. *)
-
-val of_json : ?on_warning:(string -> unit) -> Ftes_util.Json.t -> (t, string) result
-(** Parse an envelope back (audits, golden tests).  Follows the
-    {!Ftes_util.Versioned_json} conventions. *)
+(** Minified single-line JSON — the wire form. *)
 
 val of_string : ?on_warning:(string -> unit) -> string -> (t, string) result
+(** Parse an envelope back (audits, golden tests). *)
 
 val fingerprint : t -> string
 (** The deterministic identity of a response: verdict, id and minified

@@ -1,5 +1,4 @@
-module Json = Ftes_util.Json
-open Json
+open Ftes_util.Codec
 
 (* v1 added the explicit "schema_version" field; versionless documents
    are the pre-versioning format, accepted as v0 with a deprecation
@@ -8,130 +7,65 @@ open Json
    file instead of surfacing as a confusing constructor error. *)
 let schema_version = 1
 
-let to_json (problem : Problem.t) =
-  let app = problem.Problem.app in
-  let graph = app.Application.graph in
-  let edges =
-    List.map
-      (fun (e : Task_graph.edge) ->
-        Object
-          [ ("src", Number (float_of_int e.src));
-            ("dst", Number (float_of_int e.dst));
-            ("transmission_ms", Number e.transmission_ms) ])
-      (Task_graph.edges graph)
-  in
-  let version (v : Platform.hversion) =
-    Object
-      [ ("level", Number (float_of_int v.level));
-        ("cost", Number v.cost);
-        ("wcet_ms", List (Array.to_list (Array.map (fun x -> Number x) v.wcet_ms)));
-        ("pfail", List (Array.to_list (Array.map (fun x -> Number x) v.pfail))) ]
-  in
-  let node (nt : Platform.node_type) =
-    Object
-      [ ("name", String nt.node_name);
-        ("versions", List (Array.to_list (Array.map version nt.versions))) ]
-  in
-  Object
-    [ Ftes_util.Versioned_json.field schema_version;
-      ( "application",
-        Object
-          [ ("name", String app.Application.name);
-            ("deadline_ms", Number app.Application.deadline_ms);
-            ("period_ms", Number app.Application.period_ms);
-            ("gamma", Number app.Application.gamma);
-            ("recovery_overhead_ms", Number app.Application.recovery_overhead_ms);
-            ( "processes",
-              List
-                (Array.to_list
-                   (Array.map (fun s -> String s) app.Application.process_names)) );
-            ("edges", List edges) ] );
-      ("library", List (List.map node (Array.to_list problem.Problem.library))) ]
+let edge : Task_graph.edge t =
+  obj
+    (let+ src = field "src" int (fun e -> e.Task_graph.src)
+     and+ dst = field "dst" int (fun e -> e.Task_graph.dst)
+     and+ transmission_ms =
+       field "transmission_ms" float (fun e -> e.Task_graph.transmission_ms)
+     in
+     { Task_graph.src; dst; transmission_ms })
 
-let guard label f =
-  (* Checked constructors raise Invalid_argument; surface those as
-     labelled errors instead. *)
-  match f () with
-  | v -> Ok v
-  | exception Invalid_argument msg -> Error (label ^ ": " ^ msg)
+let hversion : Platform.hversion t =
+  obj
+    (let* level = field "level" int (fun v -> v.Platform.level)
+     and+ cost = field "cost" float (fun v -> v.Platform.cost)
+     and+ wcet_ms = field "wcet_ms" (array float) (fun v -> v.Platform.wcet_ms)
+     and+ pfail = field "pfail" (array float) (fun v -> v.Platform.pfail) in
+     guard "h-version" (fun () ->
+         Platform.hversion ~level ~cost ~wcet_ms ~pfail))
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
+let node_type : Platform.node_type t =
+  obj
+    (let* name = field "name" string (fun nt -> nt.Platform.node_name)
+     and+ versions =
+       field "versions" (array hversion) (fun nt -> nt.Platform.versions)
+     in
+     guard ("node " ^ name) (fun () -> Platform.node_type ~name ~versions))
 
-let edge_of_json json =
-  let* src = Result.bind (member "src" json) to_int in
-  let* dst = Result.bind (member "dst" json) to_int in
-  let* transmission_ms = Result.bind (member "transmission_ms" json) to_float in
-  Ok { Task_graph.src; dst; transmission_ms }
+let application : Application.t t =
+  let number name project = field name float project in
+  obj
+    (let* name = field "name" string (fun a -> a.Application.name)
+     and+ deadline_ms =
+       number "deadline_ms" (fun a -> a.Application.deadline_ms)
+     and+ period_ms = number "period_ms" (fun a -> a.Application.period_ms)
+     and+ gamma = number "gamma" (fun a -> a.Application.gamma)
+     and+ recovery_overhead_ms =
+       number "recovery_overhead_ms" (fun a ->
+           a.Application.recovery_overhead_ms)
+     and+ process_names =
+       field "processes" (array string) (fun a -> a.Application.process_names)
+     and+ edges =
+       field "edges" (list edge) (fun a -> Task_graph.edges a.Application.graph)
+     in
+     Result.bind
+       (guard "graph" (fun () ->
+            Task_graph.make ~n:(Array.length process_names) edges))
+       (fun graph ->
+         guard "application" (fun () ->
+             Application.make ~name ~process_names ~period_ms ~graph
+               ~deadline_ms ~gamma ~recovery_overhead_ms ())))
 
-let version_of_json json =
-  let* level = Result.bind (member "level" json) to_int in
-  let* cost = Result.bind (member "cost" json) to_float in
-  let* wcet_ms = Result.bind (member "wcet_ms" json) float_array in
-  let* pfail = Result.bind (member "pfail" json) float_array in
-  guard "h-version" (fun () -> Platform.hversion ~level ~cost ~wcet_ms ~pfail)
+let codec : Problem.t t =
+  versioned ~what:"document" ~current:schema_version ~accept_v0:true
+    (obj
+       (let* app = field "application" application (fun p -> p.Problem.app)
+        and+ library =
+          field "library" (array node_type) (fun p -> p.Problem.library)
+        in
+        guard "problem" (fun () -> Problem.make ~app ~library)))
 
-let node_of_json json =
-  let* name = Result.bind (member "name" json) to_string_value in
-  let* versions = Result.bind (member "versions" json) to_list in
-  let* versions = map_result version_of_json versions in
-  guard ("node " ^ name) (fun () ->
-      Platform.node_type ~name ~versions:(Array.of_list versions))
-
-let application_of_json json =
-  let* name = Result.bind (member "name" json) to_string_value in
-  let* deadline_ms = Result.bind (member "deadline_ms" json) to_float in
-  let* period_ms = Result.bind (member "period_ms" json) to_float in
-  let* gamma = Result.bind (member "gamma" json) to_float in
-  let* recovery_overhead_ms =
-    Result.bind (member "recovery_overhead_ms" json) to_float
-  in
-  let* processes = Result.bind (member "processes" json) to_list in
-  let* process_names = map_result to_string_value processes in
-  let* edge_items = Result.bind (member "edges" json) to_list in
-  let* edges = map_result edge_of_json edge_items in
-  let* graph =
-    guard "graph" (fun () ->
-        Task_graph.make ~n:(List.length process_names) edges)
-  in
-  guard "application" (fun () ->
-      Application.make ~name
-        ~process_names:(Array.of_list process_names)
-        ~period_ms ~graph ~deadline_ms ~gamma ~recovery_overhead_ms ())
-
-let default_warn msg = Printf.eprintf "problem_io: warning: %s\n%!" msg
-
-let of_json ?(on_warning = default_warn) json =
-  let* () =
-    Ftes_util.Versioned_json.check ~what:"document" ~accept_v0:true
-      ~on_warning ~current:schema_version json
-  in
-  let* app_json = member "application" json in
-  let* app = application_of_json app_json in
-  let* library_items = Result.bind (member "library" json) to_list in
-  let* library = map_result node_of_json library_items in
-  guard "problem" (fun () ->
-      Problem.make ~app ~library:(Array.of_list library))
-
-let to_string problem = Json.to_string (to_json problem)
-
-let of_string ?on_warning text =
-  let* json = Json.of_string text in
-  of_json ?on_warning json
-
-let save path problem =
-  Ftes_util.Atomic_file.write_string path (to_string problem ^ "\n")
-
-let load ?on_warning path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> of_string ?on_warning text
-  | exception Sys_error msg -> Error msg
+let to_json = encode codec
+let save path problem = save codec path problem
+let load ?on_warning path = load ?on_warning codec path

@@ -23,29 +23,19 @@
 
     Loading re-validates everything through the checked constructors, so
     a malformed file is reported as an [Error] rather than producing an
-    inconsistent instance.
-
-    {2 Versioning}
-
-    Writers stamp {!schema_version} (currently 1).  Readers accept
-    version 1, and treat a document {e without} the field as the
-    deprecated pre-versioning v0 format — same payload — reporting a
-    deprecation through [on_warning] (default: a line on stderr).  Any
-    other version is rejected with a diagnostic naming both the found
-    and the supported versions. *)
+    inconsistent instance.  Versioning follows {!Ftes_util.Codec}
+    (v0 accepted with a warning). *)
 
 val schema_version : int
 (** The version this build writes. *)
 
+val codec : Problem.t Ftes_util.Codec.t
+
+val node_type : Platform.node_type Ftes_util.Codec.t
+(** One ["library"] entry; a node-add what-if delta carries the same
+    spelling. *)
+
 val to_json : Problem.t -> Ftes_util.Json.t
-
-val of_json :
-  ?on_warning:(string -> unit) -> Ftes_util.Json.t -> (Problem.t, string) result
-
-val to_string : Problem.t -> string
-
-val of_string :
-  ?on_warning:(string -> unit) -> string -> (Problem.t, string) result
 
 val save : string -> Problem.t -> unit
 (** Write to a file (overwrites). *)

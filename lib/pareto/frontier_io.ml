@@ -1,6 +1,8 @@
 module Json = Ftes_util.Json
+module Codec = Ftes_util.Codec
 module Design = Ftes_model.Design
-open Json
+
+let ( let* ) = Result.bind
 
 let schema_version = 1
 
@@ -30,11 +32,6 @@ let float_of_field label text =
   | Some v when Float.is_finite v -> Ok v
   | _ -> Error (Printf.sprintf "%s: bad number %S" label text)
 
-let guard label f =
-  match f () with
-  | v -> Ok v
-  | exception Invalid_argument msg -> Error (label ^ ": " ^ msg)
-
 let point_row (p : Archive.point) =
   [ float_field p.Archive.cost;
     float_field p.Archive.slack;
@@ -58,7 +55,7 @@ let point_of_fields ~problem ~row cost slack margin members levels reexecs
   let* reexecs = ints_of_field (label "reexecs") reexecs in
   let* mapping = ints_of_field (label "mapping") mapping in
   let* design =
-    guard
+    Codec.guard
       (Printf.sprintf "row %d, design" row)
       (fun () -> Design.make problem ~members ~levels ~reexecs ~mapping)
   in
@@ -88,97 +85,87 @@ let of_csv ?spec ~problem rows =
                    (List.length csv_header) (List.length bad))
         in
         let* pts = build [] 1 body in
-        guard "frontier" (fun () -> Archive.of_points ?spec pts)
+        Codec.guard "frontier" (fun () -> Archive.of_points ?spec pts)
       end
 
-let ints_json arr =
-  List (Array.to_list (Array.map (fun v -> Number (float_of_int v)) arr))
+let point_fields =
+  let open Codec in
+  let ints = array int in
+  let+ cost = field "cost" float (fun p -> p.Archive.cost)
+  and+ slack = field "slack_ms" float (fun p -> p.Archive.slack)
+  and+ margin = field "margin_log10" float (fun p -> p.Archive.margin)
+  and+ members = field "members" ints (fun p -> p.Archive.design.members)
+  and+ levels = field "levels" ints (fun p -> p.Archive.design.levels)
+  and+ reexecs = field "reexecs" ints (fun p -> p.Archive.design.reexecs)
+  and+ mapping = field "mapping" ints (fun p -> p.Archive.design.mapping) in
+  { Archive.design = { Design.members; levels; reexecs; mapping };
+    cost;
+    slack;
+    margin }
 
-let point_to_json (p : Archive.point) =
-  Object
-    [ ("cost", Number p.Archive.cost);
-      ("slack_ms", Number p.Archive.slack);
-      ("margin_log10", Number p.Archive.margin);
-      ("members", ints_json p.Archive.design.Design.members);
-      ("levels", ints_json p.Archive.design.Design.levels);
-      ("reexecs", ints_json p.Archive.design.Design.reexecs);
-      ("mapping", ints_json p.Archive.design.Design.mapping) ]
+let check_point ~problem ~row (p : Archive.point) =
+  let { Design.members; levels; reexecs; mapping } = p.design in
+  Result.map
+    (fun design -> { p with design })
+    (Codec.guard
+       (Printf.sprintf "point %d, design" row)
+       (fun () -> Design.make problem ~members ~levels ~reexecs ~mapping))
+
+type document = {
+  spec : Archive.spec;
+  reference : Archive.reference option;
+  hypervolume : float option;
+  points : Archive.point list;
+}
+
+let document =
+  let open Codec in
+  let objective = conv Objective.name Objective.of_name string in
+  let reference =
+    obj
+      (let+ ref_cost = field "cost" float (fun r -> r.Archive.ref_cost)
+       and+ ref_slack = field "slack_ms" float (fun r -> r.Archive.ref_slack)
+       and+ ref_margin =
+         field "margin_log10" float (fun r -> r.Archive.ref_margin)
+       in
+       { Archive.ref_cost; ref_slack; ref_margin })
+  in
+  versioned ~what:"document" ~current:schema_version ~accept_v0:true
+    (obj
+       (let* objectives =
+          field "objectives" (list objective) (fun d ->
+              d.spec.Archive.objectives)
+        and+ eps = field "eps" float (fun d -> d.spec.Archive.eps)
+        and+ _size = field "size" int (fun d -> List.length d.points)
+        and+ reference = opt "reference" reference (fun d -> d.reference)
+        and+ hypervolume = opt "hypervolume" float (fun d -> d.hypervolume)
+        and+ points = field "points" (list (obj point_fields)) (fun d ->
+            d.points)
+        in
+        Result.map
+          (fun spec -> { spec; reference; hypervolume; points })
+          (guard "spec" (fun () -> Archive.spec ~objectives ~eps ()))))
 
 let to_json ?reference archive =
-  let spec = Archive.spec_of archive in
-  let pts = Archive.points archive in
-  let progress =
-    match reference with
-    | None -> []
-    | Some r ->
-        [ ( "reference",
-            Object
-              [ ("cost", Number r.Archive.ref_cost);
-                ("slack_ms", Number r.Archive.ref_slack);
-                ("margin_log10", Number r.Archive.ref_margin) ] );
-          ("hypervolume", Number (Archive.hypervolume archive ~reference:r))
-        ]
-  in
-  Object
-    ([ Ftes_util.Versioned_json.field schema_version;
-       ( "objectives",
-         List
-           (List.map
-              (fun o -> String (Objective.name o))
-              spec.Archive.objectives) );
-       ("eps", Number spec.Archive.eps);
-       ("size", Number (float_of_int (List.length pts))) ]
-    @ progress
-    @ [ ("points", List (List.map point_to_json pts)) ])
+  Codec.encode document
+    { spec = Archive.spec_of archive;
+      reference;
+      hypervolume =
+        Option.map
+          (fun r -> Archive.hypervolume archive ~reference:r)
+          reference;
+      points = Archive.points archive }
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let int_array_of_json json =
-  let* items = to_list json in
-  let* ints = map_result to_int items in
-  Ok (Array.of_list ints)
-
-let point_of_json ~problem ~row json =
-  let* cost = Result.bind (member "cost" json) to_float in
-  let* slack = Result.bind (member "slack_ms" json) to_float in
-  let* margin = Result.bind (member "margin_log10" json) to_float in
-  let* members = Result.bind (member "members" json) int_array_of_json in
-  let* levels = Result.bind (member "levels" json) int_array_of_json in
-  let* reexecs = Result.bind (member "reexecs" json) int_array_of_json in
-  let* mapping = Result.bind (member "mapping" json) int_array_of_json in
-  let* design =
-    guard
-      (Printf.sprintf "point %d, design" row)
-      (fun () -> Design.make problem ~members ~levels ~reexecs ~mapping)
-  in
-  Ok { Archive.design; cost; slack; margin }
-
-let default_warn msg = Printf.eprintf "frontier_io: warning: %s\n%!" msg
-
-let of_json ?(on_warning = default_warn) ~problem json =
-  let* () =
-    Ftes_util.Versioned_json.check ~what:"document" ~accept_v0:true
-      ~on_warning ~current:schema_version json
-  in
-  let* names = Result.bind (member "objectives" json) to_list in
-  let* names = map_result to_string_value names in
-  let* objectives = map_result Objective.of_name names in
-  let* eps = Result.bind (member "eps" json) to_float in
-  let* spec = guard "spec" (fun () -> Archive.spec ~objectives ~eps ()) in
-  let* items = Result.bind (member "points" json) to_list in
-  let rec build acc row = function
+let of_json ?on_warning ~problem json =
+  let* d = Codec.decode ?on_warning document json in
+  let rec check acc row = function
     | [] -> Ok (List.rev acc)
-    | item :: rest ->
-        let* p = point_of_json ~problem ~row item in
-        build (p :: acc) (row + 1) rest
+    | p :: rest ->
+        let* p = check_point ~problem ~row p in
+        check (p :: acc) (row + 1) rest
   in
-  let* pts = build [] 1 items in
-  guard "frontier" (fun () -> Archive.of_points ~spec pts)
+  let* pts = check [] 1 d.points in
+  Codec.guard "frontier" (fun () -> Archive.of_points ~spec:d.spec pts)
 
 let to_string ?reference archive = Json.to_string (to_json ?reference archive)
 

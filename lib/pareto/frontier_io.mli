@@ -1,8 +1,6 @@
-(** Frontier exchange formats (CSV and JSON), following the
-    {!Ftes_model.Problem_io} conventions: JSON documents carry an
-    explicit ["schema_version"] (currently 1); a versionless document
-    is read as the deprecated v0 with a warning; an unknown version is
-    rejected.
+(** Frontier exchange formats (CSV and JSON).  JSON documents are
+    versioned as {!Ftes_util.Codec} describes (v0 accepted with a
+    warning).
 
     Both readers take the {!Ftes_model.Problem.t} the frontier was
     computed for and re-validate every design against it through the
@@ -29,20 +27,32 @@ val of_csv :
     — the CSV carries data only) by re-inserting every row.  Rejects a
     bad header, malformed fields and designs that do not validate. *)
 
-val point_to_json : Archive.point -> Ftes_util.Json.t
-(** One frontier point as a JSON object (the element format of
-    {!to_json}'s ["points"] list) — exported so campaign checkpoints
-    serialize points in the same spelling. *)
+val point_fields : (Archive.point, Archive.point) Ftes_util.Codec.fields
+(** The fields of one ["points"] element — exported so campaign
+    checkpoints splice points into their own objects in the same
+    spelling.  The decoded design is {e not} validated yet: pass it
+    through {!check_point}. *)
 
-val point_of_json :
+val check_point :
   problem:Ftes_model.Problem.t ->
   row:int ->
-  Ftes_util.Json.t ->
+  Archive.point ->
   (Archive.point, string) result
-(** Inverse of {!point_to_json}; the design is re-validated against
-    [problem] through {!Ftes_model.Design.make}.  Extra fields (a
-    campaign checkpoint adds the application index) are ignored.
-    [row] only labels error messages. *)
+(** Re-validate a decoded point's design against [problem] through
+    {!Ftes_model.Design.make}; [row] only labels the error. *)
+
+type document = {
+  spec : Archive.spec;
+  reference : Archive.reference option;
+  hypervolume : float option;
+      (** of the points against [reference]; written, never trusted. *)
+  points : Archive.point list;  (** designs not validated yet. *)
+}
+
+val document : document Ftes_util.Codec.t
+(** The JSON document, structurally: schema version, objective names,
+    [eps], frontier size, the optional reference corner and
+    hypervolume, and the points. *)
 
 val to_json : ?reference:Archive.reference -> Archive.t -> Ftes_util.Json.t
 (** Self-describing document: schema version, objective names, [eps],

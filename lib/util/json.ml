@@ -265,8 +265,15 @@ let to_float = function
   | Number x -> Ok x
   | other -> Error ("expected a number, got " ^ type_name other)
 
+(* [int_of_float] of a float outside [min_int, max_int] is unspecified
+   (1e300 gives 0), so such a number is an error, not an int. *)
 let to_int = function
-  | Number x when Float.is_integer x -> Ok (int_of_float x)
+  | Number x
+    when Float.is_integer x
+         && x >= Float.of_int min_int
+         && x < -.Float.of_int min_int ->
+      Ok (int_of_float x)
+  | Number x when Float.is_integer x -> Error "integer out of range"
   | Number _ -> Error "expected an integer"
   | other -> Error ("expected an integer, got " ^ type_name other)
 
@@ -283,13 +290,3 @@ let to_string_value = function
   | other -> Error ("expected a string, got " ^ type_name other)
 
 let ( let* ) = Result.bind
-
-let float_array t =
-  let* items = to_list t in
-  let rec gather acc = function
-    | [] -> Ok (Array.of_list (List.rev acc))
-    | x :: rest ->
-        let* v = to_float x in
-        gather (v :: acc) rest
-  in
-  gather [] items

@@ -26,6 +26,9 @@ val of_string : string -> (t, string) result
 (** {1 Accessors} — all return [Error] with a path-aware message rather
     than raising. *)
 
+val type_name : t -> string
+(** ["null"], ["bool"], ["number"], ["string"], ["list"] or ["object"]. *)
+
 val member : string -> t -> (t, string) result
 (** Field of an object. *)
 
@@ -34,9 +37,6 @@ val to_int : t -> (int, string) result
 val to_bool : t -> (bool, string) result
 val to_list : t -> (t list, string) result
 val to_string_value : t -> (string, string) result
-
-val float_array : t -> (float array, string) result
-(** A JSON list of numbers. *)
 
 val ( let* ) : ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
 (** Result bind, re-exported for parser-style client code. *)

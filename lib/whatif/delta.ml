@@ -1,6 +1,7 @@
-module Json = Ftes_util.Json
 open Ftes_model
-open Json
+module Codec = Ftes_util.Codec
+
+let ( let* ) = Result.bind
 
 type t =
   | Deadline_set of float
@@ -37,11 +38,6 @@ let class_names =
     "wcet-scale"; "ser-scale"; "hversion-cost-set"; "hversion-wcet-set";
     "hversion-pfail-set"; "node-add"; "node-remove"; "kmax-set" ]
 
-let guard label f =
-  match f () with
-  | v -> Ok v
-  | exception Invalid_argument msg -> Error (label ^ ": " ^ msg)
-
 let positive_factor label factor =
   if Float.is_finite factor && factor > 0. then Ok ()
   else Error (Printf.sprintf "%s: factor must be positive and finite" label)
@@ -57,7 +53,7 @@ let with_app problem ?deadline_ms ?period_ms ?gamma label =
   in
   let period_ms = Option.value period_ms ~default:app.Application.period_ms in
   let gamma = Option.value gamma ~default:app.Application.gamma in
-  guard label (fun () ->
+  Codec.guard label (fun () ->
       let app =
         Application.make ~name:app.Application.name
           ~process_names:app.Application.process_names ~period_ms
@@ -67,7 +63,7 @@ let with_app problem ?deadline_ms ?period_ms ?gamma label =
       Problem.make ~app ~library:problem.Problem.library)
 
 let with_library problem library label =
-  guard label (fun () -> Problem.make ~app:problem.Problem.app ~library)
+  Codec.guard label (fun () -> Problem.make ~app:problem.Problem.app ~library)
 
 (* Replace library node [j] by [f (node j)].  Untouched node types are
    passed through physically so their tables stay the exact bits a cold
@@ -91,7 +87,7 @@ let edit_version (nt : Platform.node_type) ~level f label =
   if level < 1 || level > Platform.levels nt then
     Error (Printf.sprintf "%s: level %d out of range" label level)
   else
-    guard label (fun () ->
+    Codec.guard label (fun () ->
         let versions =
           Array.map
             (fun (v : Platform.hversion) -> if v.level = level then f v else v)
@@ -123,7 +119,7 @@ let apply problem delta =
       let* () = positive_factor "wcet-scale" factor in
       edit_node problem node
         (fun nt ->
-          guard "wcet-scale" (fun () ->
+          Codec.guard "wcet-scale" (fun () ->
               let versions =
                 Array.map
                   (fun (v : Platform.hversion) ->
@@ -138,7 +134,7 @@ let apply problem delta =
       let* () = positive_factor "ser-scale" factor in
       edit_node problem node
         (fun nt ->
-          guard "ser-scale" (fun () ->
+          Codec.guard "ser-scale" (fun () ->
               let versions =
                 Array.map
                   (fun (v : Platform.hversion) ->
@@ -273,146 +269,103 @@ let cannot_weaken problem delta =
       && pfail >= Problem.pfail problem ~node ~level ~proc
   | Node_add _ | Node_remove _ | Kmax_set _ -> false
 
-(* Wire codec.  The node-type payload mirrors Problem_io's library
-   schema ({"name", "versions": [{"level","cost","wcet_ms","pfail"}]}),
+(* Wire codec.  The node-type payload is Problem_io's library entry,
    so a node copied out of an exported problem file pastes straight into
-   a node-add delta. *)
-
-let int_field name v = (name, Number (float_of_int v))
-
-let version_to_json (v : Platform.hversion) =
-  Object
-    [ int_field "level" v.level;
-      ("cost", Number v.cost);
-      ("wcet_ms", List (Array.to_list (Array.map (fun x -> Number x) v.wcet_ms)));
-      ("pfail", List (Array.to_list (Array.map (fun x -> Number x) v.pfail))) ]
-
-let node_to_json (nt : Platform.node_type) =
-  Object
-    [ ("name", String nt.node_name);
-      ("versions", List (Array.to_list (Array.map version_to_json nt.versions))) ]
-
-let to_json delta =
-  let tag fields = Object (("class", String (class_name delta)) :: fields) in
-  match delta with
-  | Deadline_set d -> tag [ ("deadline_ms", Number d) ]
-  | Deadline_scale f -> tag [ ("factor", Number f) ]
-  | Period_set p -> tag [ ("period_ms", Number p) ]
-  | Period_scale f -> tag [ ("factor", Number f) ]
-  | Gamma_set g -> tag [ ("gamma", Number g) ]
-  | Wcet_scale { node; factor } -> tag [ int_field "node" node; ("factor", Number factor) ]
-  | Ser_scale { node; factor } -> tag [ int_field "node" node; ("factor", Number factor) ]
-  | Hversion_cost_set { node; level; cost } ->
-      tag [ int_field "node" node; int_field "level" level; ("cost", Number cost) ]
-  | Hversion_wcet_set { node; level; proc; wcet_ms } ->
-      tag
-        [ int_field "node" node; int_field "level" level; int_field "proc" proc;
-          ("wcet_ms", Number wcet_ms) ]
-  | Hversion_pfail_set { node; level; proc; pfail } ->
-      tag
-        [ int_field "node" node; int_field "level" level; int_field "proc" proc;
-          ("pfail", Number pfail) ]
-  | Node_add nt -> tag [ ("node_type", node_to_json nt) ]
-  | Node_remove j -> tag [ int_field "node" j ]
-  | Kmax_set k -> tag [ int_field "kmax" k ]
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let version_of_json json =
-  let* level = Result.bind (member "level" json) to_int in
-  let* cost = Result.bind (member "cost" json) to_float in
-  let* wcet_ms = Result.bind (member "wcet_ms" json) float_array in
-  let* pfail = Result.bind (member "pfail" json) float_array in
-  guard "node-add h-version" (fun () ->
-      Platform.hversion ~level ~cost ~wcet_ms ~pfail)
-
-let node_of_json json =
-  let* name = Result.bind (member "name" json) to_string_value in
-  let* versions = Result.bind (member "versions" json) to_list in
-  let* versions = map_result version_of_json versions in
-  guard "node-add node type" (fun () ->
-      Platform.node_type ~name ~versions:(Array.of_list versions))
-
-let of_json json =
-  let* cls = Result.bind (member "class" json) to_string_value in
-  (* Eager range validation: malformed wire deltas are rejected here,
-     before any problem is in scope; bounds against a concrete instance
-     (node/level/proc existence) remain [apply]'s job. *)
-  let float_of name = Result.bind (member name json) to_float in
-  let int_of name = Result.bind (member name json) to_int in
-  let positive name v =
-    if Float.is_finite v && v > 0. then Ok v
-    else
-      Error
-        (Printf.sprintf "%s: %s must be positive and finite (got %g)" cls name
-           v)
+   a node-add delta.  Ranges are validated eagerly, before any problem
+   is in scope; bounds against a concrete instance (node/level/proc
+   existence) remain [apply]'s job. *)
+let codec =
+  let open Codec in
+  let checked ok what c =
+    conv Fun.id
+      (fun v -> if ok v then Ok v else Error (Printf.sprintf what v))
+      c
   in
-  let positive_of name = Result.bind (float_of name) (positive name) in
-  let index_of ?(min = 0) name =
-    Result.bind (int_of name) (fun v ->
-        if v >= min then Ok v
-        else
-          Error (Printf.sprintf "%s: %s must be >= %d (got %d)" cls name min v))
+  let positive =
+    checked
+      (fun v -> Float.is_finite v && v > 0.)
+      "must be positive and finite (got %g)" float
   in
-  match cls with
-  | "deadline-set" ->
-      let* d = positive_of "deadline_ms" in
-      Ok (Deadline_set d)
-  | "deadline-scale" ->
-      let* f = positive_of "factor" in
-      Ok (Deadline_scale f)
-  | "period-set" ->
-      let* p = positive_of "period_ms" in
-      Ok (Period_set p)
-  | "period-scale" ->
-      let* f = positive_of "factor" in
-      Ok (Period_scale f)
-  | "gamma-set" ->
-      let* g = float_of "gamma" in
-      if Float.is_finite g && g > 0. && g < 1. then Ok (Gamma_set g)
-      else Error (Printf.sprintf "gamma-set: gamma must lie in (0, 1) (got %g)" g)
-  | "wcet-scale" ->
-      let* node = index_of "node" in
-      let* factor = positive_of "factor" in
-      Ok (Wcet_scale { node; factor })
-  | "ser-scale" ->
-      let* node = index_of "node" in
-      let* factor = positive_of "factor" in
-      Ok (Ser_scale { node; factor })
-  | "hversion-cost-set" ->
-      let* node = index_of "node" in
-      let* level = index_of ~min:1 "level" in
-      let* cost = positive_of "cost" in
-      Ok (Hversion_cost_set { node; level; cost })
-  | "hversion-wcet-set" ->
-      let* node = index_of "node" in
-      let* level = index_of ~min:1 "level" in
-      let* proc = index_of "proc" in
-      let* wcet_ms = positive_of "wcet_ms" in
-      Ok (Hversion_wcet_set { node; level; proc; wcet_ms })
-  | "hversion-pfail-set" ->
-      let* node = index_of "node" in
-      let* level = index_of ~min:1 "level" in
-      let* proc = index_of "proc" in
-      let* pfail = float_of "pfail" in
-      if Float.is_finite pfail && pfail >= 0. && pfail < 1. then
-        Ok (Hversion_pfail_set { node; level; proc; pfail })
-      else
-        Error
-          (Printf.sprintf
-             "hversion-pfail-set: pfail must lie in [0, 1) (got %g)" pfail)
-  | "node-add" ->
-      let* nt = Result.bind (member "node_type" json) node_of_json in
-      Ok (Node_add nt)
-  | "node-remove" ->
-      let* j = index_of "node" in
-      Ok (Node_remove j)
-  | "kmax-set" ->
-      let* k = index_of "kmax" in
-      Ok (Kmax_set k)
-  | other -> Error (Printf.sprintf "delta: unknown class %S" other)
+  let index = checked (fun v -> v >= 0) "must be >= 0 (got %d)" int in
+  let level = checked (fun v -> v >= 1) "must be >= 1 (got %d)" int in
+  let single name key c inject project =
+    case name project (let+ v = field key c Fun.id in inject v)
+  in
+  let node_factor name inject project =
+    case name project
+      (let+ node = field "node" index fst
+       and+ factor = field "factor" positive snd in
+       inject node factor)
+  in
+  let cell name key c inject project =
+    case name project
+      (let+ node = field "node" index (fun (n, _, _, _) -> n)
+       and+ level = field "level" level (fun (_, l, _, _) -> l)
+       and+ proc = field "proc" index (fun (_, _, p, _) -> p)
+       and+ v = field key c (fun (_, _, _, v) -> v) in
+       inject node level proc v)
+  in
+  union ~what:"delta" ~tag:"class"
+    [ single "deadline-set" "deadline_ms" positive
+        (fun d -> Deadline_set d)
+        (function Deadline_set d -> Some d | _ -> None);
+      single "deadline-scale" "factor" positive
+        (fun f -> Deadline_scale f)
+        (function Deadline_scale f -> Some f | _ -> None);
+      single "period-set" "period_ms" positive
+        (fun p -> Period_set p)
+        (function Period_set p -> Some p | _ -> None);
+      single "period-scale" "factor" positive
+        (fun f -> Period_scale f)
+        (function Period_scale f -> Some f | _ -> None);
+      single "gamma-set" "gamma"
+        (checked
+           (fun g -> Float.is_finite g && g > 0. && g < 1.)
+           "must lie in (0, 1) (got %g)" float)
+        (fun g -> Gamma_set g)
+        (function Gamma_set g -> Some g | _ -> None);
+      node_factor "wcet-scale"
+        (fun node factor -> Wcet_scale { node; factor })
+        (function
+          | Wcet_scale { node; factor } -> Some (node, factor) | _ -> None);
+      node_factor "ser-scale"
+        (fun node factor -> Ser_scale { node; factor })
+        (function
+          | Ser_scale { node; factor } -> Some (node, factor) | _ -> None);
+      case "hversion-cost-set"
+        (function
+          | Hversion_cost_set { node; level; cost } -> Some (node, level, cost)
+          | _ -> None)
+        (let+ node = field "node" index (fun (n, _, _) -> n)
+         and+ level = field "level" level (fun (_, l, _) -> l)
+         and+ cost = field "cost" positive (fun (_, _, c) -> c) in
+         Hversion_cost_set { node; level; cost });
+      cell "hversion-wcet-set" "wcet_ms" positive
+        (fun node level proc wcet_ms ->
+          Hversion_wcet_set { node; level; proc; wcet_ms })
+        (function
+          | Hversion_wcet_set { node; level; proc; wcet_ms } ->
+              Some (node, level, proc, wcet_ms)
+          | _ -> None);
+      cell "hversion-pfail-set" "pfail"
+        (checked
+           (fun p -> Float.is_finite p && p >= 0. && p < 1.)
+           "must lie in [0, 1) (got %g)" float)
+        (fun node level proc pfail ->
+          Hversion_pfail_set { node; level; proc; pfail })
+        (function
+          | Hversion_pfail_set { node; level; proc; pfail } ->
+              Some (node, level, proc, pfail)
+          | _ -> None);
+      single "node-add" "node_type" Problem_io.node_type
+        (fun nt -> Node_add nt)
+        (function Node_add nt -> Some nt | _ -> None);
+      single "node-remove" "node" index
+        (fun j -> Node_remove j)
+        (function Node_remove j -> Some j | _ -> None);
+      single "kmax-set" "kmax" index
+        (fun k -> Kmax_set k)
+        (function Kmax_set k -> Some k | _ -> None) ]
+
+let to_json = Codec.encode codec
+let of_json json = Codec.decode codec json

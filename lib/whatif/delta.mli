@@ -103,9 +103,11 @@ val cannot_weaken : Ftes_model.Problem.t -> t -> bool
     kmax changes always return [false] — the pre-flight tables are
     indexed by both. *)
 
+val codec : t Ftes_util.Codec.t
 val to_json : t -> Ftes_util.Json.t
 val of_json : Ftes_util.Json.t -> (t, string) result
 (** Wire codec: an object tagged by ["class"], e.g.
     [{"class": "wcet-scale", "node": 0, "factor": 1.1}].  [of_json]
     validates ranges eagerly (positive factors, 0-based indices), but
-    index bounds against a concrete problem are checked by [apply]. *)
+    index bounds against a concrete problem are checked by [apply].
+    [node-add] carries a {!Ftes_model.Problem_io.node_type}. *)

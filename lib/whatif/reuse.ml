@@ -1,6 +1,3 @@
-module Json = Ftes_util.Json
-open Json
-
 type t = {
   delta_class : string;
   sfp_kept : int;
@@ -15,43 +12,34 @@ type t = {
   witnesses_rechecked : int;
 }
 
-let pair kept dropped =
-  Object
-    [ ("kept", Number (float_of_int kept));
-      ("dropped", Number (float_of_int dropped)) ]
-
-let to_json t =
-  Object
-    [ ("class", String t.delta_class);
-      ("sfp", pair t.sfp_kept t.sfp_dropped);
-      ("evals", pair t.evals_kept t.evals_dropped);
-      ("probes", pair t.probes_kept t.probes_dropped);
-      ( "steps",
-        Object
-          [ ("replayed", Number (float_of_int t.steps_replayed));
-            ("total", Number (float_of_int t.steps_total)) ] );
-      ("preflight_reused", Bool t.preflight_reused);
-      ("witnesses_rechecked", Number (float_of_int t.witnesses_rechecked)) ]
-
-let of_json json =
-  let* delta_class = Result.bind (member "class" json) to_string_value in
-  let pair_of name =
-    let* obj = member name json in
-    let* kept = Result.bind (member "kept" obj) to_int in
-    let* dropped = Result.bind (member "dropped" obj) to_int in
-    Ok (kept, dropped)
+let codec =
+  let open Ftes_util.Codec in
+  let kept_dropped =
+    obj
+      (let+ kept = field "kept" int fst
+       and+ dropped = field "dropped" int snd in
+       (kept, dropped))
   in
-  let* sfp_kept, sfp_dropped = pair_of "sfp" in
-  let* evals_kept, evals_dropped = pair_of "evals" in
-  let* probes_kept, probes_dropped = pair_of "probes" in
-  let* steps = member "steps" json in
-  let* steps_replayed = Result.bind (member "replayed" steps) to_int in
-  let* steps_total = Result.bind (member "total" steps) to_int in
-  let* preflight_reused = Result.bind (member "preflight_reused" json) to_bool in
-  let* witnesses_rechecked =
-    Result.bind (member "witnesses_rechecked" json) to_int
-  in
-  Ok
-    { delta_class; sfp_kept; sfp_dropped; evals_kept; evals_dropped;
-      probes_kept; probes_dropped; steps_replayed; steps_total;
-      preflight_reused; witnesses_rechecked }
+  obj
+    (let+ delta_class = field "class" string (fun t -> t.delta_class)
+     and+ sfp_kept, sfp_dropped =
+       field "sfp" kept_dropped (fun t -> (t.sfp_kept, t.sfp_dropped))
+     and+ evals_kept, evals_dropped =
+       field "evals" kept_dropped (fun t -> (t.evals_kept, t.evals_dropped))
+     and+ probes_kept, probes_dropped =
+       field "probes" kept_dropped (fun t -> (t.probes_kept, t.probes_dropped))
+     and+ steps_replayed, steps_total =
+       group "steps"
+         (let+ replayed = field "replayed" int (fun t -> t.steps_replayed)
+          and+ total = field "total" int (fun t -> t.steps_total) in
+          (replayed, total))
+     and+ preflight_reused =
+       field "preflight_reused" bool (fun t -> t.preflight_reused)
+     and+ witnesses_rechecked =
+       field "witnesses_rechecked" int (fun t -> t.witnesses_rechecked)
+     in
+     { delta_class; sfp_kept; sfp_dropped; evals_kept; evals_dropped;
+       probes_kept; probes_dropped; steps_replayed; steps_total;
+       preflight_reused; witnesses_rechecked })
+
+let of_json json = Ftes_util.Codec.decode codec json

@@ -25,5 +25,5 @@ type t = {
           perturbed problem when reusing the pre-flight. *)
 }
 
-val to_json : t -> Ftes_util.Json.t
+val codec : t Ftes_util.Codec.t
 val of_json : Ftes_util.Json.t -> (t, string) result

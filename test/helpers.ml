@@ -10,6 +10,18 @@ let check_contains name s affix =
     (Printf.sprintf "%s: output contains %S" name affix)
     true (contains s affix)
 
+(* [decode (encode x) = Ok x] through the printed bytes, and
+   re-encoding the decoded value gives the same bytes. *)
+let roundtrip ?(equal = ( = )) codec x =
+  let module Codec = Ftes_util.Codec in
+  let bytes = Codec.to_string codec x in
+  let on_warning = Alcotest.failf "warned: %s" in
+  match Codec.of_string ~on_warning codec bytes with
+  | Error e -> Alcotest.failf "round-trip: %s" e
+  | Ok y ->
+      Alcotest.(check bool) "decode (encode x) = x" true (equal x y);
+      Alcotest.(check string) "re-encoded bytes" bytes (Codec.to_string codec y)
+
 (* A tiny deterministic problem factory used across suites: [n] processes
    in a random DAG over a library of [lib] nodes with [levels]
    h-versions. *)

@@ -242,13 +242,8 @@ let test_preflight_validation () =
 let test_certificate_roundtrip () =
   List.iter
     (fun problem ->
-      let cert = Certificate.of_preflight (Preflight.run problem) in
-      let s = Certificate_io.to_string cert in
-      match Certificate_io.of_string s with
-      | Error e -> Alcotest.failf "round-trip failed: %s" e
-      | Ok cert' ->
-          Alcotest.(check string) "identical rendering" s
-            (Certificate_io.to_string cert'))
+      Helpers.roundtrip Certificate_io.codec
+        (Certificate.of_preflight (Preflight.run problem)))
     [ Ftes_cc.Fig_examples.fig1_problem ();
       with_deadline_factor (Ftes_cc.Fig_examples.fig1_problem ()) 0.05;
       Ftes_cc.Cruise_control.problem () ]
@@ -267,7 +262,9 @@ let test_certificate_versioning () =
   in
   let warned = ref false in
   (match
-     Certificate_io.of_json ~on_warning:(fun _ -> warned := true) (strip json)
+     Ftes_util.Codec.decode
+       ~on_warning:(fun _ -> warned := true)
+       Certificate_io.codec (strip json)
    with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "v0 document rejected: %s" e);
@@ -282,7 +279,7 @@ let test_certificate_versioning () =
              fields)
     | j -> j
   in
-  match Certificate_io.of_json (bump json) with
+  match Ftes_util.Codec.decode Certificate_io.codec (bump json) with
   | Ok _ -> Alcotest.fail "unknown version accepted"
   | Error e -> Helpers.check_contains "version error" e "schema_version 99"
 

@@ -284,24 +284,13 @@ let test_infeasible_proof () =
 
 let test_certificate_roundtrip () =
   let _, _, outcome = Lazy.force fixture in
-  let cert = outcome.Bnb.certificate in
-  (match Cert_io.of_string (Cert_io.to_string cert) with
-  | Ok back ->
-      Alcotest.(check bool) "feasible certificate round-trips" true
-        (back = cert)
-  | Error e -> Alcotest.fail e);
-  let infeasible =
+  Helpers.roundtrip Cert_io.codec outcome.Bnb.certificate;
+  (* Infeasible: unbounded costs and a null incumbent. *)
+  Helpers.roundtrip Cert_io.codec
     (Bnb.solve
        ~config:(Config.make ())
        (Helpers.small_problem ~n:4 ~lib:3 ~levels:2 1))
       .Bnb.certificate
-  in
-  match Cert_io.of_string (Cert_io.to_string infeasible) with
-  | Ok back ->
-      Alcotest.(check bool)
-        "infeasible certificate round-trips (unbounded costs)" true
-        (back = infeasible)
-  | Error e -> Alcotest.fail e
 
 let with_top_field json name value =
   match json with
@@ -321,16 +310,16 @@ let test_certificate_versioning () =
   let _, _, outcome = Lazy.force fixture in
   let json = Cert_io.to_json outcome.Bnb.certificate in
   (match
-     Cert_io.of_string
-       (Json.to_string
-          (with_top_field json "schema_version" (Json.Number 99.0)))
+     Ftes_util.Codec.decode Cert_io.codec
+       (with_top_field json "schema_version" (Json.Number 99.0))
    with
   | Ok _ -> Alcotest.fail "future schema version must be rejected"
   | Error e -> Helpers.check_contains "version error" e "schema_version");
   let warnings = ref [] in
   match
-    Cert_io.of_json
+    Ftes_util.Codec.decode
       ~on_warning:(fun w -> warnings := w :: !warnings)
+      Cert_io.codec
       (without_top_field json "schema_version")
   with
   | Ok _ ->

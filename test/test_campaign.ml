@@ -56,8 +56,12 @@ let test_manifest_roundtrip () =
     mini ~policies:[ Config.Fixed_min; Config.Optimize ] ~hpds:[ 0.05; 0.5 ]
       ~apps:10 ~shards:3 ()
   in
-  let back = ok_or_fail "of_json" (Manifest.of_json (Manifest.to_json manifest)) in
-  Alcotest.(check bool) "round-trips" true (back = manifest);
+  Helpers.roundtrip Manifest.codec manifest;
+  (let manifest, dir = fresh_campaign ~shards:2 () in
+   ignore (Runner.run_local ~manifest ~dir ());
+   List.iter
+     (Helpers.roundtrip Checkpoint.codec)
+     (checkpoints_of ~manifest ~dir));
   let dir = mk_dir () in
   Manifest.save ~dir manifest;
   let loaded = ok_or_fail "load" (Manifest.load ~dir) in
@@ -281,7 +285,25 @@ let test_corrupt_checkpoint_rejected () =
      simply recomputed. *)
   let summary = Runner.run_local ~manifest ~dir () in
   Alcotest.(check int) "corrupt shard recomputed" 1 summary.Runner.executed;
-  Alcotest.(check int) "intact shard skipped" 1 summary.Runner.skipped
+  Alcotest.(check int) "intact shard skipped" 1 summary.Runner.skipped;
+  (* A directory where a file should be is an Error too, for both
+     loaders, never an exception. *)
+  let as_directory file check =
+    let saved = file ^ ".saved" in
+    Sys.rename file saved;
+    Unix.mkdir file 0o700;
+    check ();
+    Unix.rmdir file;
+    Sys.rename saved file
+  in
+  as_directory path (fun () ->
+      match Checkpoint.load ~manifest ~dir 0 with
+      | Error e -> Helpers.check_contains "checkpoint" e path
+      | Ok _ -> Alcotest.fail "directory checkpoint accepted");
+  as_directory (Manifest.path ~dir) (fun () ->
+      match Manifest.load ~dir with
+      | Error e -> Helpers.check_contains "manifest" e (Manifest.path ~dir)
+      | Ok _ -> Alcotest.fail "directory manifest accepted")
 
 let test_out_of_range_point_rejected () =
   let manifest, dir = fresh_campaign ~shards:2 () in

@@ -305,48 +305,17 @@ let test_design_validate_result () =
 (* --- Problem_io --- *)
 
 module Problem_io = Ftes_model.Problem_io
+module Codec = Ftes_util.Codec
 
-let test_io_roundtrip_fig1 () =
-  let p = fig1 () in
-  match Problem_io.of_string (Problem_io.to_string p) with
-  | Error e -> Alcotest.failf "roundtrip failed: %s" e
-  | Ok p' ->
-      Alcotest.(check int) "library size" (Problem.n_library p)
-        (Problem.n_library p');
-      Alcotest.(check int) "processes" (Problem.n_processes p)
-        (Problem.n_processes p');
-      check_float "deadline" p.Problem.app.Application.deadline_ms
-        p'.Problem.app.Application.deadline_ms;
-      check_float "gamma" p.Problem.app.Application.gamma
-        p'.Problem.app.Application.gamma;
-      check_float "a WCET entry"
-        (Problem.wcet p ~node:1 ~level:2 ~proc:3)
-        (Problem.wcet p' ~node:1 ~level:2 ~proc:3);
-      check_float "a pfail entry"
-        (Problem.pfail p ~node:0 ~level:3 ~proc:0)
-        (Problem.pfail p' ~node:0 ~level:3 ~proc:0);
-      Alcotest.(check int) "edges"
-        (Task_graph.n_edges (Problem.graph p))
-        (Task_graph.n_edges (Problem.graph p'))
+(* Structural equality through the printed bytes: every table entry,
+   tiny probabilities included (printed with 17 digits), survives. *)
+let test_io_roundtrip_fig1 () = Helpers.roundtrip Problem_io.codec (fig1 ())
 
 let test_io_roundtrip_cc () =
-  let p = Ftes_cc.Cruise_control.problem () in
-  match Problem_io.of_string (Problem_io.to_string p) with
-  | Error e -> Alcotest.failf "CC roundtrip failed: %s" e
-  | Ok p' ->
-      Alcotest.(check int) "processes" 32 (Problem.n_processes p');
-      Alcotest.(check string) "process names preserved" "vehicle_speed"
-        (Application.process_name p'.Problem.app 12)
+  Helpers.roundtrip Problem_io.codec (Ftes_cc.Cruise_control.problem ())
 
 let test_io_roundtrip_generated () =
-  let p = Helpers.synthetic_problem ~n:15 () in
-  match Problem_io.of_string (Problem_io.to_string p) with
-  | Error e -> Alcotest.failf "generated roundtrip failed: %s" e
-  | Ok p' ->
-      (* probabilities survive exactly (printed with 17 digits) *)
-      check_float "tiny probability preserved"
-        (Problem.pfail p ~node:2 ~level:4 ~proc:7)
-        (Problem.pfail p' ~node:2 ~level:4 ~proc:7)
+  Helpers.roundtrip Problem_io.codec (Helpers.synthetic_problem ~n:15 ())
 
 let test_io_save_load () =
   let path = Filename.temp_file "ftes" ".json" in
@@ -364,7 +333,7 @@ let test_io_missing_file () =
 
 let test_io_rejects_invalid () =
   let reject label text =
-    match Problem_io.of_string text with
+    match Codec.of_string Problem_io.codec text with
     | Ok _ -> Alcotest.failf "%s should be rejected" label
     | Error _ -> ()
   in
@@ -374,7 +343,7 @@ let test_io_rejects_invalid () =
   (* Structurally valid JSON but semantically broken: cost does not
      increase with hardening. *)
   let p = fig1 () in
-  let text = Problem_io.to_string p in
+  let text = Codec.to_string Problem_io.codec p in
   let replace_once ~affix ~by s =
     let n = String.length s and m = String.length affix in
     let rec find i =
@@ -420,7 +389,8 @@ let contains ~needle hay =
 let test_io_versionless_warns () =
   let doc = strip_version (Problem_io.to_json (fig1 ())) in
   let warnings = ref [] in
-  match Problem_io.of_json ~on_warning:(fun w -> warnings := w :: !warnings) doc with
+  let on_warning w = warnings := w :: !warnings in
+  match Codec.decode ~on_warning Problem_io.codec doc with
   | Error e -> Alcotest.failf "versionless v0 document rejected: %s" e
   | Ok p ->
       Alcotest.(check int) "payload read" 4 (Problem.n_processes p);
@@ -431,13 +401,14 @@ let test_io_versionless_warns () =
 let test_io_v1_silent () =
   let doc = Problem_io.to_json (fig1 ()) in
   let warnings = ref [] in
-  match Problem_io.of_json ~on_warning:(fun w -> warnings := w :: !warnings) doc with
+  let on_warning w = warnings := w :: !warnings in
+  match Codec.decode ~on_warning Problem_io.codec doc with
   | Error e -> Alcotest.failf "v1 rejected: %s" e
   | Ok _ -> Alcotest.(check int) "no warnings for v1" 0 (List.length !warnings)
 
 let test_io_rejects_future_version () =
   let doc = with_version 99 (Problem_io.to_json (fig1 ())) in
-  match Problem_io.of_json ~on_warning:ignore doc with
+  match Codec.decode ~on_warning:ignore Problem_io.codec doc with
   | Ok _ -> Alcotest.fail "schema_version 99 should be rejected"
   | Error e ->
       Alcotest.(check bool) "diagnostic names the version" true

@@ -426,6 +426,12 @@ let test_json_roundtrip () =
   let reference =
     { Archive.ref_cost = 81.0; ref_slack = 0.0; ref_margin = 0.0 }
   in
+  Helpers.roundtrip Frontier_io.document
+    { Frontier_io.spec = Archive.spec_of archive;
+      reference = Some reference;
+      hypervolume = Some (Archive.hypervolume archive ~reference);
+      points = Archive.points archive };
+  (* The validating reader rebuilds the same archive. *)
   match
     Frontier_io.of_string ~problem:(Lazy.force cc)
       (Frontier_io.to_string ~reference archive)

@@ -460,13 +460,197 @@ let test_json_accessors () =
   Alcotest.(check bool) "bool" true
     (Result.bind (Json.member "flag" v) Json.to_bool = Ok false);
   Alcotest.(check bool) "float array" true
-    (Result.bind (Json.member "items" v) Json.float_array = Ok [| 1.5; 2.5 |]);
+    (Result.bind (Json.member "items" v)
+       Ftes_util.Codec.(decode (array float))
+    = Ok [| 1.5; 2.5 |]);
   Alcotest.(check bool) "missing member" true
     (Result.is_error (Json.member "nope" v));
   Alcotest.(check bool) "wrong type" true
     (Result.is_error (Json.to_int (Json.String "x")));
   Alcotest.(check bool) "non-integer" true
-    (Result.is_error (Json.to_int (Json.Number 1.5)))
+    (Result.is_error (Json.to_int (Json.Number 1.5)));
+  List.iter
+    (fun x ->
+      Alcotest.(check bool) "out of range" true
+        (Result.is_error (Json.to_int (Json.Number x))))
+    [ 1e300; -1e300; 2.0 ** 62.0 ]
+
+(* --- Codec: every decoder is total --- *)
+
+module Codec = Ftes_util.Codec
+
+(* The encoded documents of every ported codec, each paired with the
+   full reader production runs on it (structural decode, then the
+   plain validation code). *)
+let fuzz_corpus =
+  lazy
+    (let prng = Prng.create 2024 in
+     let entry name codec ?(check = fun _ -> Ok ()) values =
+       ( name,
+         List.map (Codec.to_string ~minify:true codec) values,
+         fun text ->
+           Result.bind (Codec.of_string ~on_warning:ignore codec text) check )
+     in
+     let fig1 = Ftes_cc.Fig_examples.fig1_problem () in
+     let cc = Ftes_cc.Cruise_control.problem () in
+     let small = Helpers.small_problem ~n:4 ~lib:3 ~levels:2 42 in
+     let problems = [ fig1; small; Helpers.synthetic_problem ~n:8 () ] in
+     let bnb problem =
+       (Ftes_bnb.Bnb.solve ~config:(Ftes_core.Config.make ()) problem)
+         .Ftes_bnb.Bnb.certificate
+     in
+     let point problem =
+       { Ftes_pareto.Archive.design = Helpers.random_design prng problem;
+         cost = 12.5;
+         slack = 3.25;
+         margin = 0.5 }
+     in
+     let module Request = Ftes_driver.Request in
+     let request whatif command target =
+       match Request.make ~id:"f" ?whatif command target with
+       | Ok r -> r
+       | Error e -> failwith e
+     in
+     let manifest =
+       Ftes_campaign.Manifest.make ~sers:[ 1e-11 ]
+         ~policies:[ Ftes_core.Config.Fixed_min ] ~apps:3 ~seed:5 ~shards:1 ()
+     in
+     let dir = Filename.temp_file "ftes-fuzz" "" in
+     Sys.remove dir;
+     Unix.mkdir dir 0o700;
+     Ftes_campaign.Manifest.save ~dir manifest;
+     ignore (Ftes_campaign.Runner.run_local ~manifest ~dir ());
+     let checkpoint =
+       match Ftes_campaign.Checkpoint.load ~manifest ~dir 0 with
+       | Ok c -> c
+       | Error e -> failwith e
+     in
+     let reuse =
+       { Ftes_whatif.Reuse.delta_class = "node-add"; sfp_kept = 1;
+         sfp_dropped = 2; evals_kept = 3; evals_dropped = 4; probes_kept = 5;
+         probes_dropped = 6; steps_replayed = 7; steps_total = 8;
+         preflight_reused = true; witnesses_rechecked = 9 }
+     in
+     let telemetry =
+       { Ftes_driver.Response.queue_wait_ns = 1; wall_ns = 2; sfp_hits = 3;
+         sfp_misses = 4; eval_hits = 5; eval_misses = 6; cache_problems = 7;
+         registry_hits = 8; registry_misses = 9; reuse = Some reuse }
+     in
+     [ entry "problem" Ftes_model.Problem_io.codec (cc :: problems);
+       entry "certificate" Ftes_analyze.Certificate_io.codec
+         (List.map
+            (fun p ->
+              Ftes_analyze.Certificate.of_preflight
+                (Ftes_analyze.Preflight.run p))
+            (cc :: problems));
+       entry "bnb certificate" Ftes_analyze.Bnb_certificate_io.codec
+         [ bnb small; bnb (Helpers.small_problem ~n:4 ~lib:3 ~levels:2 1) ];
+       entry "frontier" Ftes_pareto.Frontier_io.document
+         ~check:(fun d ->
+           Result.map ignore
+             (Ftes_pareto.Frontier_io.of_json ~problem:small
+                (Codec.encode Ftes_pareto.Frontier_io.document d)))
+         [ { Ftes_pareto.Frontier_io.spec = Ftes_pareto.Archive.spec ();
+             reference =
+               Some
+                 { Ftes_pareto.Archive.ref_cost = 99.0;
+                   ref_slack = 0.0;
+                   ref_margin = 0.0 };
+             hypervolume = Some 1.5;
+             points = List.init 3 (fun _ -> point small) } ];
+       entry "delta" Ftes_whatif.Delta.codec
+         (List.init 40 (fun _ -> Helpers.small_delta prng small));
+       entry "reuse" Ftes_whatif.Reuse.codec [ reuse ];
+       entry "request" Request.codec
+         [ request None Request.Analyze (`Example "fig1");
+           request None
+             (Request.Pareto
+                { eps = 0.5;
+                  objectives = Ftes_pareto.Objective.all;
+                  ref_cost = Some 3.0 })
+             (`Problem small);
+           request None (Request.Exact { limit = Some 9 }) (`Problem fig1);
+           request
+             (Some
+                { Request.base_id = Some "b";
+                  delta = Ftes_whatif.Delta.Deadline_scale 0.9 })
+             Request.Optimize (`Example "fig3") ];
+       entry "response" Ftes_driver.Response.codec
+         [ { Ftes_driver.Response.id = "r";
+             seq = 4;
+             verdict = Ftes_driver.Response.Feasible;
+             payload = Json.Object [ ("a", Json.List [ Json.Number 1.0 ]) ];
+             error = Some "e";
+             telemetry = Some telemetry } ];
+       entry "manifest" Ftes_campaign.Manifest.codec [ manifest ];
+       entry "checkpoint" Ftes_campaign.Checkpoint.codec
+         ~check:(fun c ->
+           Result.map ignore (Ftes_campaign.Checkpoint.check ~manifest c))
+         [ checkpoint ] ])
+
+let rec json_size = function
+  | Json.List items -> List.fold_left (fun n j -> n + json_size j) 1 items
+  | Json.Object fields ->
+      List.fold_left (fun n (_, j) -> n + json_size j) 1 fields
+  | _ -> 1
+
+(* Replace the [k]-th node in pre-order by [f node]. *)
+let replace_node k f json =
+  let k = ref k in
+  let rec go json =
+    decr k;
+    if !k = -1 then f json
+    else
+      match json with
+      | Json.List items -> Json.List (List.map go items)
+      | Json.Object fields ->
+          Json.Object (List.map (fun (n, j) -> (n, go j)) fields)
+      | j -> j
+  in
+  go json
+
+let swaps =
+  [| Json.Null; Json.Bool true; Json.String "x"; Json.List []; Json.Object [];
+     Json.Number 1e300; Json.Number (-1.0); Json.Number (2.0 ** 62.0) |]
+
+let mutate st text =
+  let json = Result.get_ok (Json.of_string text) in
+  let node () = Random.State.int st (json_size json) in
+  let render j = Json.to_string ~minify:true j in
+  match Random.State.int st 4 with
+  | 0 ->
+      let cut = Random.State.int st (String.length text) in
+      ("truncate", String.sub text 0 cut)
+  | 1 ->
+      let v = swaps.(Random.State.int st (Array.length swaps)) in
+      ("swap", render (replace_node (node ()) (fun _ -> v) json))
+  | 2 ->
+      let drop = function
+        | Json.Object (_ :: _ as fields) ->
+            let i = Random.State.int st (List.length fields) in
+            Json.Object (List.filteri (fun j _ -> j <> i) fields)
+        | j -> j
+      in
+      ("delete", render (replace_node (node ()) drop json))
+  | _ ->
+      let rec nest n j = if n = 0 then j else nest (n - 1) (Json.List [ j ]) in
+      ("nest", render (replace_node (node ()) (nest 10_000) json))
+
+let prop_decoders_total =
+  QCheck.Test.make ~count:1500
+    ~name:"every decoder returns Ok or Error on mutated documents"
+    QCheck.(pair small_nat int)
+    (fun (pick, seed) ->
+      let corpus = Lazy.force fuzz_corpus in
+      let name, docs, read = List.nth corpus (pick mod List.length corpus) in
+      let st = Random.State.make [| seed |] in
+      let doc = List.nth docs (Random.State.int st (List.length docs)) in
+      let how, text = mutate st doc in
+      match read text with
+      | Ok () | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "%s (%s): %s" name how
+            (Printexc.to_string e))
 
 (* --- Csv --- *)
 
@@ -588,4 +772,5 @@ let () =
           Alcotest.test_case "document" `Quick test_csv_document;
           Alcotest.test_case "write file" `Quick test_csv_write_file;
           Alcotest.test_case "parse" `Quick test_csv_parse;
-          q prop_csv_roundtrip ] ) ]
+          q prop_csv_roundtrip ] );
+      ("codec", [ q prop_decoders_total ]) ]

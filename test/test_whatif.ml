@@ -439,15 +439,7 @@ let test_delta_json_roundtrip () =
   List.iter
     (fun cls ->
       for _ = 1 to 5 do
-        let delta = Helpers.delta_of_class prng problem cls in
-        let bytes = Json.to_string ~minify:true (Delta.to_json delta) in
-        let reparsed =
-          ok_exn (Delta.of_json (ok_exn (Json.of_string bytes)))
-        in
-        Alcotest.(check string)
-          (Printf.sprintf "%s: re-emitted bytes stable" cls)
-          bytes
-          (Json.to_string ~minify:true (Delta.to_json reparsed))
+        Helpers.roundtrip Delta.codec (Helpers.delta_of_class prng problem cls)
       done)
     Delta.class_names
 
@@ -473,10 +465,7 @@ let test_reuse_json_roundtrip () =
       steps_replayed = 2; steps_total = 3;
       preflight_reused = true; witnesses_rechecked = 1 }
   in
-  let bytes = Json.to_string ~minify:true (Reuse.to_json r) in
-  let r' = ok_exn (Reuse.of_json (ok_exn (Json.of_string bytes))) in
-  Alcotest.(check string) "reuse codec round-trips" bytes
-    (Json.to_string ~minify:true (Reuse.to_json r'))
+  Helpers.roundtrip Reuse.codec r
 
 (* --- generator sanity (Helpers.small_delta / perturbed_problem) --- *)
 
