@@ -23,8 +23,7 @@ let sample_design =
     (let problem = Lazy.force sample_problem in
      let members = [| 0; 1; 2; 3 |] in
      let mapping =
-       Ftes_core.Mapping_opt.initial_mapping ~config:Config.default problem
-         ~members
+       Ftes_core.Mapping_opt.initial_mapping problem ~members
      in
      Design.make problem ~members ~levels:[| 1; 1; 1; 1 |]
        ~reexecs:[| 2; 2; 2; 2 |] ~mapping)

@@ -1,12 +1,9 @@
 module Problem = Ftes_model.Problem
 module Design = Ftes_model.Design
 module Application = Ftes_model.Application
-module Scheduler = Ftes_sched.Scheduler
-module Sfp = Ftes_sfp.Sfp
 module Pool = Ftes_par.Pool
 module Exhaustive = Ftes_core.Exhaustive
 module Redundancy_opt = Ftes_core.Redundancy_opt
-module Re_execution_opt = Ftes_core.Re_execution_opt
 module Design_strategy = Ftes_core.Design_strategy
 module Config = Ftes_core.Config
 module Preflight = Ftes_analyze.Preflight
@@ -109,7 +106,7 @@ let pow_int base e =
    [Exhaustive.iter_mappings] order — mapping prefixes whose slot is
    already reliability-dead for the process or whose accumulated raw
    WCET load provably overruns what acceptance would need. *)
-let search_arch ?cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
+let search_arch ?sfp ~config ~(preflight : Preflight.t) ~prune_cost ~tick
     problem members =
   let n = Problem.n_processes problem in
   let m = Array.length members in
@@ -123,12 +120,7 @@ let search_arch ?cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
   let admissible = Array.make_matrix n m false in
   let zero_reexecs = Array.make m 0 in
   Exhaustive.iter_levels problem members (fun levels ->
-      let cost = ref 0.0 in
-      Array.iteri
-        (fun slot j ->
-          cost := !cost +. Problem.cost problem ~node:j ~level:levels.(slot))
-        members;
-      let cost = !cost in
+      let cost = Exhaustive.levels_cost problem members levels in
       if
         (not (Exhaustive.better ~best:!best (cost, 0.0)))
         || cost > prune_cost () +. 1e-9
@@ -163,34 +155,9 @@ let search_arch ?cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
             if p = n then begin
               tick ();
               incr evaluated;
-              let design =
-                Design.make problem ~members ~levels ~reexecs:zero_reexecs
-                  ~mapping
-              in
-              match
-                Re_execution_opt.optimize ?cache ~kmax:config.Config.kmax
-                  problem design
-              with
-              | None -> ()
-              | Some design ->
-                  let sl =
-                    Scheduler.schedule_length ~slack:config.Config.slack
-                      ~bus:config.Config.bus problem design
-                  in
-                  if sl <= d +. 1e-9 && Exhaustive.better ~best:!best (cost, sl)
-                  then begin
-                    let verdict = Sfp.evaluate problem design in
-                    best :=
-                      Some
-                        { Redundancy_opt.design;
-                          schedule_length = sl;
-                          cost;
-                          slack = d -. sl;
-                          margin =
-                            Sfp.log10_margin problem.Problem.app
-                              ~per_iteration_failure:
-                                verdict.Sfp.per_iteration_failure }
-                  end
+              Exhaustive.leaf ?sfp ~config problem best
+                (Design.make problem ~members ~levels ~reexecs:zero_reexecs
+                   ~mapping)
             end
             else
               for s = 0 to m - 1 do
@@ -229,7 +196,7 @@ let solve ?pool ?(limit = max_int) ~config problem =
         Preflight.run ~kmax:config.Config.kmax ~slack:config.Config.slack
           problem
       in
-      let cache =
+      let sfp =
         if config.Config.memoize then Some (Ftes_par.Sfp_cache.create ())
         else None
       in
@@ -308,7 +275,7 @@ let solve ?pool ?(limit = max_int) ~config problem =
         if parallel then closed_order := members :: !closed_order
         else begin
           let s =
-            search_arch ?cache ~config ~preflight ~prune_cost:current_prune
+            search_arch ?sfp ~config ~preflight ~prune_cost:current_prune
               ~tick problem members
           in
           (match s.winner with
@@ -393,7 +360,7 @@ let solve ?pool ?(limit = max_int) ~config problem =
             *. (float_of_int m ** float_of_int (Problem.n_processes problem)))
           (fun members ->
             ( members,
-              search_arch ?cache ~config ~preflight ~prune_cost:current_prune
+              search_arch ?sfp ~config ~preflight ~prune_cost:current_prune
                 ~tick problem members ))
           (List.rev !closed_order)
         |> List.iter (fun (members, s) -> record members s);

@@ -91,8 +91,10 @@ let run_shard ?(on_cell = fun ~cell_index:_ ~n_cells:_ -> ()) ~manifest ~dir
           if resumed then Metrics.incr c_shards_resumed;
           Ok { checkpoint = ckpt; resumed; fresh_cells = n_cells - List.length start.Checkpoint.cells }
       | exception e ->
-          Error
-            (Printf.sprintf "shard %d: %s" shard (Printexc.to_string e)))
+          let msg =
+            match e with Sys_error msg -> msg | e -> Printexc.to_string e
+          in
+          Error (Printf.sprintf "shard %d: %s" shard msg))
 
 type summary = {
   shards : int;

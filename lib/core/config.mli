@@ -12,16 +12,10 @@ type hardening_policy =
   | Fixed_max  (** the MAX baseline: maximum hardening everywhere. *)
 
 type t = {
-  tabu_tenure : int;
-      (** iterations a re-mapped process stays tabu (Section 6.2). *)
-  waiting_boost : int;
-      (** iterations after which a never-moved process gets priority. *)
-  max_stall : int;
-      (** stop the tabu search after this many non-improving moves. *)
-  max_iterations : int;  (** hard cap on tabu iterations. *)
-  move_candidates : int;
-      (** how many critical-path processes are considered for re-mapping
-          at each tabu iteration. *)
+  max_iterations : int;
+      (** hard cap on tabu iterations of the mapping search (Section
+          6.2); 0 keeps the initial mapping.  The search's tenure, stall
+          limit and move width are constants of {!Mapping_opt}. *)
   kmax : int;  (** per-node re-execution bound explored by the SFP search. *)
   slack : Ftes_sched.Scheduler.slack_mode;
   bus : Ftes_sched.Bus.policy;
@@ -41,11 +35,7 @@ type t = {
 }
 
 val make :
-  ?tabu_tenure:int ->
-  ?waiting_boost:int ->
-  ?max_stall:int ->
   ?max_iterations:int ->
-  ?move_candidates:int ->
   ?kmax:int ->
   ?slack:Ftes_sched.Scheduler.slack_mode ->
   ?bus:Ftes_sched.Bus.policy ->
@@ -56,15 +46,14 @@ val make :
   t
 (** The supported constructor: every omitted knob takes the {!default}
     value, and bounds are validated ([Invalid_argument] on a negative
-    tenure/stall/iteration budget, [move_candidates < 1] or a negative
-    [kmax]).  Prefer [make] + the [with_*] builders below over record
-    literals/updates — construction sites written this way survive new
-    knobs unchanged (the record stays exposed as the representation,
-    for pattern matching). *)
+    iteration budget or [kmax]).  Prefer [make] + the [with_*] builders
+    below over record literals/updates — construction sites written
+    this way survive new knobs unchanged (the record stays exposed as
+    the representation, for pattern matching). *)
 
 val default : t
-(** [make ()]: [Optimize] policy, shared slack, FCFS bus, tenure 3,
-    stall 10, kmax 12, memoization on. *)
+(** [make ()]: [Optimize] policy, shared slack, FCFS bus, 120 tabu
+    iterations, kmax 12, memoization on, no certification. *)
 
 (** {2 Builders}
 
@@ -72,15 +61,7 @@ val default : t
     piping: [Config.(default |> with_slack Dedicated |> with_certify
     true)]. *)
 
-val with_tabu_tenure : int -> t -> t
-
-val with_waiting_boost : int -> t -> t
-
-val with_max_stall : int -> t -> t
-
 val with_max_iterations : int -> t -> t
-
-val with_move_candidates : int -> t -> t
 
 val with_kmax : int -> t -> t
 

@@ -53,6 +53,36 @@ let c_runs = Ftes_obs.Metrics.counter "strategy.runs"
 let c_pruned_architectures =
   Ftes_obs.Metrics.counter "analyze.pruned_architectures"
 
+let finalize ~config ~cache ~explored problem (result : Redundancy_opt.result)
+    =
+  Ftes_obs.Span.with_ ~name:"strategy/finalize" @@ fun () ->
+  let design = result.Redundancy_opt.design in
+  let schedule =
+    Scheduler.schedule ~slack:config.Config.slack ~bus:config.Config.bus
+      problem design
+  in
+  let analyses =
+    match cache with
+    | Some cache ->
+        let sfp = Redundancy_opt.sfp_cache cache in
+        Array.init (Design.n_members design) (fun member ->
+            Ftes_par.Sfp_cache.node_analysis sfp problem design ~member
+              ~kmax:(Sfp.analysis_kmax design ~member))
+    | None -> Sfp.analyses_for problem design
+  in
+  let certificate =
+    if config.Config.certify then
+      Some
+        (Ftes_verify.Verify.certify ~slack:config.Config.slack
+           ~bus:config.Config.bus ~sfp_tables:analyses problem design schedule)
+    else None
+  in
+  { result;
+    verdict = Sfp.evaluate_analyses problem design ~analyses;
+    schedule;
+    explored;
+    certificate }
+
 (* One entry of the recorded walk: an evaluated architecture and its
    verdict.  Steps correspond 1:1 with [explored] increments, which are
    bit-identical across pool modes, so the trail is too. *)
@@ -65,13 +95,15 @@ type step = {
    hook fires once per feasible result surfaced by an evaluated
    architecture (the schedule-length winner first, then the cost-refined
    mapping when one exists), always from the deterministic bookkeeping
-   path: the sequential walk calls it in evaluation order, and the
-   parallel walk only during the ordered batch merge — never from a
-   speculative worker — so the hook sees the exact same sequence whatever
-   the domain count.  [on_step] fires from the same path, once per
-   evaluated architecture. *)
-let search ?pool ?cache ?preflight ~config ~on_feasible
+   path: the ordered batch merge, never a speculative scoring — so the
+   hook sees the exact same sequence whatever the domain count.
+   [on_step] fires from the same path, once per evaluated
+   architecture.  Returns the finalized best solution, the [explored]
+   count and the cache the walk used. *)
+let search ?pool ?cache ?preflight ~config ?(on_feasible = fun _ -> ())
     ?(on_step = fun _ -> ()) problem =
+  Ftes_obs.Metrics.incr c_runs;
+  Ftes_obs.Span.with_ ~name:"strategy/run" @@ fun () ->
   Option.iter (Redundancy_opt.validate_preflight ~config problem) preflight;
   let lib = Problem.n_library problem in
   (* An externally supplied cache lets several runs over the same
@@ -88,9 +120,8 @@ let search ?pool ?cache ?preflight ~config ~on_feasible
   let explored = ref 0 in
   let best = ref None in
   let best_cost = ref infinity in
-  (* Pure candidate score: no counter update, so the parallel walk can
-     evaluate speculatively and replay the bookkeeping during the
-     ordered merge. *)
+  (* Pure candidate score: no counter update, so a batch can be scored
+     speculatively and the bookkeeping done during the ordered merge. *)
   let evaluate_architecture members =
     (* Pre-flight short-circuit: when the report proves every mapping
        onto this architecture unreliable or over-deadline, the whole
@@ -131,140 +162,74 @@ let search ?pool ?cache ?preflight ~config ~on_feasible
         in
         `Schedulable (result, candidates)
   in
-  let record (result, candidates) =
-    List.iter on_feasible candidates;
-    if result.Redundancy_opt.cost < !best_cost then begin
-      best_cost := result.Redundancy_opt.cost;
-      best := Some result
-    end
+  (* One size level, fastest first, in batches: score a batch of
+     candidates (concurrently on a multi-domain pool), then merge it in
+     speed order, taking the prune / record / size-jump decisions of the
+     sequential walk.  The pre-filter against the best cost at batch
+     entry is sound because the best cost only decreases: a candidate it
+     drops is one the merge would prune too, and the merge counts it
+     there, so [strategy.pruned] does not depend on the pool.  A batch
+     is [2 × domains] candidates on a pool outside a worker, otherwise
+     1 (scored inline), which bounds the speculative work past the
+     walk's stopping point to one batch. *)
+  let batch_size =
+    match pool with
+    | Some p
+      when Ftes_par.Pool.domains p > 1 && not (Ftes_par.Pool.in_worker ()) ->
+        2 * Ftes_par.Pool.domains p
+    | Some _ | None -> 1
   in
-  (* One size level, sequentially: fastest-first until the queue is
-     exhausted or an evaluated architecture is unschedulable (Fig. 5,
-     line 15: jump to the next size). *)
-  let rec size_level_seq = function
-    | [] -> ()
-    | members :: rest ->
-        if min_hardening_cost problem members >= !best_cost then begin
+  let prunable members = min_hardening_cost problem members >= !best_cost in
+  (* Merge one scored batch; false when the walk must stop (an evaluated
+     architecture was unschedulable: Fig. 5 line 15). *)
+  let rec merge = function
+    | [] -> true
+    | (members, scored) :: rest -> (
+        if prunable members then begin
           Ftes_obs.Metrics.incr c_pruned;
-          size_level_seq rest (* line 6: cannot beat the best-so-far *)
+          merge rest (* line 6: cannot beat the best-so-far *)
         end
         else begin
           incr explored;
           Ftes_obs.Metrics.incr c_explored;
-          match evaluate_architecture members with
+          match Option.get scored with
           | `Unschedulable ->
-              on_step { step_members = members; step_verdict = `Unschedulable }
-          | `Schedulable ((result, _) as outcome) ->
+              on_step { step_members = members; step_verdict = `Unschedulable };
+              false
+          | `Schedulable (result, candidates) ->
               on_step
                 { step_members = members;
                   step_verdict = `Schedulable result.Redundancy_opt.cost };
-              record outcome;
-              size_level_seq rest
-        end
+              List.iter on_feasible candidates;
+              if result.Redundancy_opt.cost < !best_cost then begin
+                best_cost := result.Redundancy_opt.cost;
+                best := Some result
+              end;
+              merge rest
+        end)
   in
-  (* Same level on a pool: score a batch of candidates speculatively in
-     parallel, then merge in speed order replaying exactly the
-     sequential prune / record / jump decisions.  Pre-pruning against
-     the best cost at batch entry is sound because the best cost only
-     decreases: a candidate pruned now would be pruned by the sequential
-     walk too, and one kept now is re-checked during the merge.
-     Batching bounds the speculative work evaluated beyond the
-     sequential walk's stopping point to one batch. *)
-  let size_level_par pool queue =
-    let batch_size = 2 * Ftes_par.Pool.domains pool in
-    (* Merge one scored batch; returns false when the walk must stop
-       (an evaluated architecture was unschedulable: Fig. 5 line 15). *)
-    let rec merge candidates results =
-      match (candidates, results) with
-      | [], [] -> true
-      | members :: candidates, result :: results ->
-          if min_hardening_cost problem members >= !best_cost then begin
-            Ftes_obs.Metrics.incr c_pruned;
-            merge candidates results
-          end
-          else begin
-            incr explored;
-            Ftes_obs.Metrics.incr c_explored;
-            match result with
-            | `Unschedulable ->
-                on_step
-                  { step_members = members; step_verdict = `Unschedulable };
-                false
-            | `Schedulable ((result, _) as outcome) ->
-                on_step
-                  { step_members = members;
-                    step_verdict = `Schedulable result.Redundancy_opt.cost };
-                record outcome;
-                merge candidates results
-          end
-      | _ -> assert false
-    in
-    let rec batches queue =
-      match queue with
-      | [] -> ()
-      | _ ->
-          let rec take n = function
-            | rest when n = 0 -> ([], rest)
-            | [] -> ([], [])
-            | x :: rest ->
-                let taken, rest = take (n - 1) rest in
-                (x :: taken, rest)
-          in
-          let batch, rest = take batch_size queue in
-          let candidates =
-            List.filter
-              (fun members -> min_hardening_cost problem members < !best_cost)
-              batch
-          in
-          let results =
-            Ftes_par.Pool.map ~pool evaluate_architecture candidates
-          in
-          if merge candidates results then batches rest
-    in
-    batches queue
-  in
-  let size_level =
-    match pool with
-    | Some pool
-      when Ftes_par.Pool.domains pool > 1 && not (Ftes_par.Pool.in_worker ())
-      ->
-        size_level_par pool
-    | Some _ | None -> size_level_seq
+  let rec size_level = function
+    | [] -> ()
+    | queue ->
+        let rec split n batch = function
+          | members :: rest when n > 0 -> split (n - 1) (members :: batch) rest
+          | rest -> (List.rev batch, rest)
+        in
+        let batch, rest = split batch_size [] queue in
+        let scored =
+          Ftes_par.Pool.map ?pool
+            (fun members ->
+              if prunable members then None
+              else Some (evaluate_architecture members))
+            batch
+        in
+        if merge (List.combine batch scored) then size_level rest
   in
   for n = 1 to lib do
     size_level (architectures_by_speed problem ~n)
   done;
-  (!best, !explored, cache)
-
-let finalize ~config ~cache ~explored problem (result : Redundancy_opt.result)
-    =
-  Ftes_obs.Span.with_ ~name:"strategy/finalize" @@ fun () ->
-  let design = result.Redundancy_opt.design in
-  let schedule =
-    Scheduler.schedule ~slack:config.Config.slack ~bus:config.Config.bus
-      problem design
-  in
-  let analyses =
-    match cache with
-    | Some cache ->
-        let sfp = Redundancy_opt.sfp_cache cache in
-        Array.init (Design.n_members design) (fun member ->
-            Ftes_par.Sfp_cache.node_analysis sfp problem design ~member
-              ~kmax:(Sfp.analysis_kmax design ~member))
-    | None -> Sfp.analyses_for problem design
-  in
-  let certificate =
-    if config.Config.certify then
-      Some
-        (Ftes_verify.Verify.certify ~slack:config.Config.slack
-           ~bus:config.Config.bus ~sfp_tables:analyses problem design schedule)
-    else None
-  in
-  { result;
-    verdict = Sfp.evaluate_analyses problem design ~analyses;
-    schedule;
-    explored;
-    certificate }
+  let explored = !explored in
+  (Option.map (finalize ~config ~cache ~explored problem) !best, explored, cache)
 
 type recorded = {
   rec_problem : Problem.t;
@@ -277,36 +242,22 @@ type recorded = {
 }
 
 let run_recorded ?pool ?cache ?preflight ~config problem =
-  Ftes_obs.Metrics.incr c_runs;
-  Ftes_obs.Span.with_ ~name:"strategy/run" @@ fun () ->
   let steps = ref [] in
   let on_step step = steps := step :: !steps in
-  let best, explored, cache =
-    search ?pool ?cache ?preflight ~config ~on_feasible:(fun _ -> ()) ~on_step
-      problem
+  let solution, explored, cache =
+    search ?pool ?cache ?preflight ~config ~on_step problem
   in
   { rec_problem = problem;
     rec_config = config;
     rec_cache = cache;
     rec_preflight = preflight;
     rec_trail = List.rev !steps;
-    rec_solution = Option.map (finalize ~config ~cache ~explored problem) best;
+    rec_solution = solution;
     rec_explored = explored }
 
-let run ?pool ?cache ?preflight ?record ~config problem =
-  match record with
-  | Some cell ->
-      let recorded = run_recorded ?pool ?cache ?preflight ~config problem in
-      cell := Some recorded;
-      recorded.rec_solution
-  | None ->
-      Ftes_obs.Metrics.incr c_runs;
-      Ftes_obs.Span.with_ ~name:"strategy/run" @@ fun () ->
-      let best, explored, cache =
-        search ?pool ?cache ?preflight ~config ~on_feasible:(fun _ -> ())
-          problem
-      in
-      Option.map (finalize ~config ~cache ~explored problem) best
+let run ?pool ?cache ?preflight ~config problem =
+  let solution, _, _ = search ?pool ?cache ?preflight ~config problem in
+  solution
 
 let step_equal a b =
   a.step_members = b.step_members
@@ -383,8 +334,6 @@ type frontier = {
 }
 
 let run_frontier ?pool ?cache ?preflight ?spec ~config problem =
-  Ftes_obs.Metrics.incr c_runs;
-  Ftes_obs.Span.with_ ~name:"strategy/run" @@ fun () ->
   let archive = Archive.create ?spec () in
   let on_feasible (r : Redundancy_opt.result) =
     Archive.insert archive
@@ -393,12 +342,10 @@ let run_frontier ?pool ?cache ?preflight ?spec ~config problem =
         slack = r.Redundancy_opt.slack;
         margin = r.Redundancy_opt.margin }
   in
-  let best, explored, cache =
+  let best, explored, _ =
     search ?pool ?cache ?preflight ~config ~on_feasible problem
   in
-  { archive;
-    best = Option.map (finalize ~config ~cache ~explored problem) best;
-    explored }
+  { archive; best; explored }
 
 let accepted ?max_cost = function
   | None -> false

@@ -54,7 +54,6 @@ val run :
   ?pool:Ftes_par.Pool.t ->
   ?cache:Redundancy_opt.cache ->
   ?preflight:Ftes_analyze.Preflight.t ->
-  ?record:recorded option ref ->
   config:Config.t ->
   Ftes_model.Problem.t ->
   solution option
@@ -62,11 +61,14 @@ val run :
     the deadline and the reliability goal, or [None] when no explored
     architecture admits one.
 
-    When [pool] spans more than one domain, the candidate architectures
-    of each size level are scored concurrently (speculatively) and the
-    results merged back in speed order, replaying the sequential prune
-    and size-jump decisions — the returned solution, its schedule and
-    the [explored] counter are bit-identical to a sequential run.  When
+    Each size level is walked in batches that are scored, then merged
+    in speed order with the prune and size-jump decisions of Fig. 5.
+    When [pool] spans more than one domain (and the call is not made
+    from inside a pool worker), a batch holds [2 × domains] candidates
+    scored concurrently (speculatively); otherwise it holds one.  The
+    returned solution, its schedule and the [explored] count, like the
+    [strategy.explored] and [strategy.pruned] counters, are
+    bit-identical whatever the pool.  When
     {!Config.t.memoize} is set, SFP node tables and whole candidate
     evaluations are shared across the walk through a per-run
     {!Redundancy_opt.cache}, which likewise never changes any result.
@@ -83,16 +85,12 @@ val run :
     short-circuit to unschedulable without a mapping search (counted by
     [analyze.pruned_architectures], with the size jump of Fig. 5
     line 15 firing as it would have), and the report forwards to every
-    hardening probe (see {!Redundancy_opt.run}).  All tests are
+    hardening probe (see {!Redundancy_opt.probe}).  All tests are
     one-sided proofs, so the solution, schedule, [explored] count and —
     under {!run_frontier} — the archive are bit-identical to an
     unpruned walk.  Raises [Invalid_argument] when the report was
     derived for a different problem, [kmax] or slack-policy bucket
-    than the config's.
-
-    [record], when given, is filled with the {!recorded} state of this
-    run (trail, populated cache, pre-flight, solution) for later
-    {!rerun} calls.  Recording does not change the walk. *)
+    than the config's. *)
 
 val run_recorded :
   ?pool:Ftes_par.Pool.t ->
@@ -101,8 +99,10 @@ val run_recorded :
   config:Config.t ->
   Ftes_model.Problem.t ->
   recorded
-(** {!run} returning the full recorded state; [rec_solution] is exactly
-    what {!run} would return. *)
+(** {!run}, also keeping the {!recorded} state of the walk (trail,
+    populated cache, pre-flight, solution) for later {!rerun} calls;
+    [rec_solution] is exactly what {!run} would return.  Recording does
+    not change the walk. *)
 
 val rerun :
   ?pool:Ftes_par.Pool.t ->

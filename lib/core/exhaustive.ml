@@ -1,6 +1,5 @@
 module Problem = Ftes_model.Problem
 module Design = Ftes_model.Design
-module Scheduler = Ftes_sched.Scheduler
 
 let subsets lib =
   let rec go i =
@@ -80,17 +79,35 @@ let better ~best (cost, sl) =
       || (Float.abs (cost -. r.Redundancy_opt.cost) <= 1e-9
           && sl < r.Redundancy_opt.schedule_length -. 1e-9)
 
+(* Summed in member order, exactly as [Design.cost]. *)
+let levels_cost problem members levels =
+  let cost = ref 0.0 in
+  Array.iteri
+    (fun slot j ->
+      cost := !cost +. Problem.cost problem ~node:j ~level:levels.(slot))
+    members;
+  !cost
+
+let leaf ?sfp ~config problem best design =
+  match Redundancy_opt.evaluate_fresh ?sfp config problem design with
+  | Some r
+    when Ftes_util.Tolerance.leq r.Redundancy_opt.schedule_length
+           (deadline problem)
+         && better ~best:!best
+              (r.Redundancy_opt.cost, r.Redundancy_opt.schedule_length) ->
+      best := Some r
+  | Some _ | None -> ()
+
 let run ?pool ?(limit = 2_000_000) ~config problem =
   let space = search_space problem in
   if space > float_of_int limit then
     invalid_arg
       (Printf.sprintf "Exhaustive.run: %.3g candidates exceed the limit %d"
          space limit);
-  let cache =
+  let sfp =
     if config.Config.memoize then Some (Ftes_par.Sfp_cache.create ()) else None
   in
   let n = Problem.n_processes problem in
-  let d = deadline problem in
   (* Fold one architecture subset, starting from [init].  Pruning a
      level vector whose cost cannot beat the incumbent is sound because
      [better (cost, sl)] implies [better (cost, 0.0)] (schedule lengths
@@ -98,43 +115,13 @@ let run ?pool ?(limit = 2_000_000) ~config problem =
   let search_subset init members =
     let best = ref init in
     let m = Array.length members in
+    let reexecs = Array.make m 0 in
     iter_levels problem members (fun levels ->
         (* Architecture cost is mapping-independent: prune early. *)
-        let cost =
-          Array.to_list members
-          |> List.mapi (fun slot j ->
-                 Problem.cost problem ~node:j ~level:levels.(slot))
-          |> List.fold_left ( +. ) 0.0
-        in
-        if better ~best:!best (cost, 0.0) then
+        if better ~best:!best (levels_cost problem members levels, 0.0) then
           iter_mappings ~n ~m (fun mapping ->
-              let design =
-                Design.make problem ~members ~levels
-                  ~reexecs:(Array.make m 0) ~mapping
-              in
-              match
-                Re_execution_opt.optimize ?cache ~kmax:config.Config.kmax
-                  problem design
-              with
-              | None -> ()
-              | Some design ->
-                  let sl =
-                    Scheduler.schedule_length ~slack:config.Config.slack
-                      ~bus:config.Config.bus problem design
-                  in
-                  if sl <= d +. 1e-9 && better ~best:!best (cost, sl) then begin
-                    let verdict = Ftes_sfp.Sfp.evaluate problem design in
-                    best :=
-                      Some
-                        { Redundancy_opt.design;
-                          schedule_length = sl;
-                          cost;
-                          slack = d -. sl;
-                          margin =
-                            Ftes_sfp.Sfp.log10_margin problem.Problem.app
-                              ~per_iteration_failure:
-                                verdict.Ftes_sfp.Sfp.per_iteration_failure }
-                  end));
+              leaf ?sfp ~config problem best
+                (Design.make problem ~members ~levels ~reexecs ~mapping)));
     !best
   in
   let all_subsets = subsets (Problem.n_library problem) in

@@ -41,6 +41,24 @@ val better :
     strictly cheaper (beyond the 1e-9 crumb budget) wins, a cost tie
     breaks towards a strictly shorter schedule. *)
 
+val levels_cost : Ftes_model.Problem.t -> int array -> int array -> float
+(** [levels_cost problem members levels]: the architecture cost of
+    [members] at hardening [levels], summed in member order exactly as
+    {!Ftes_model.Design.cost} — the mapping-independent bound both
+    searches prune hardening vectors with. *)
+
+val leaf :
+  ?sfp:Ftes_par.Sfp_cache.t ->
+  config:Config.t ->
+  Ftes_model.Problem.t ->
+  Redundancy_opt.result option ref ->
+  Ftes_model.Design.t ->
+  unit
+(** [leaf ~config problem best design] scores one complete candidate
+    through {!Redundancy_opt.evaluate_fresh} and makes it the incumbent
+    [best] when it meets the deadline and is {!better}.  The one leaf
+    evaluation of {!run} and of the exact branch-and-bound. *)
+
 val run :
   ?pool:Ftes_par.Pool.t ->
   ?limit:int ->

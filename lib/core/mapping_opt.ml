@@ -4,6 +4,16 @@ module Design = Ftes_model.Design
 
 type objective = Schedule_length | Architecture_cost
 
+(* The tabu search's fixed shape (Section 6.2): iterations a re-mapped
+   process stays tabu, non-improving iterations before the search
+   stops, and critical-path processes tried per iteration.  Only the
+   iteration cap is a {!Config} knob. *)
+let tabu_tenure = 3
+
+let max_stall = 10
+
+let move_candidates = 5
+
 let c_iterations = Ftes_obs.Metrics.counter "tabu.iterations"
 
 let c_moves = Ftes_obs.Metrics.counter "tabu.moves"
@@ -40,8 +50,7 @@ let evaluate ?cache ?preflight config objective problem ~members mapping =
   in
   (solution, score)
 
-let initial_mapping ~config problem ~members =
-  ignore config;
+let initial_mapping problem ~members =
   let graph = Problem.graph problem in
   let n = Task_graph.n graph in
   let m = Array.length members in
@@ -121,7 +130,7 @@ let run ?cache ?pool ?preflight ~config ~objective ?initial problem ~members =
   let mapping =
     match initial with
     | Some mp -> Array.copy mp
-    | None -> initial_mapping ~config problem ~members
+    | None -> initial_mapping problem ~members
   in
   let best_solution = ref None in
   let consider = function
@@ -141,7 +150,7 @@ let run ?cache ?pool ?preflight ~config ~objective ?initial problem ~members =
     let wait = Array.make n 0 in
     let best_score = ref initial_score in
     let rec iterate iter stall =
-      if iter >= config.Config.max_iterations || stall >= config.Config.max_stall
+      if iter >= config.Config.max_iterations || stall >= max_stall
       then ()
       else begin
         Ftes_obs.Metrics.incr c_iterations;
@@ -150,7 +159,7 @@ let run ?cache ?pool ?preflight ~config ~objective ?initial problem ~members =
           List.sort
             (fun a b -> compare (wait.(b), a) (wait.(a), b))
             critical
-          |> List.filteri (fun i _ -> i < config.Config.move_candidates)
+          |> List.filteri (fun i _ -> i < move_candidates)
         in
         (* Evaluate every re-mapping of every candidate.  Moves are
            independent (each is scored on its own copy of the mapping),
@@ -213,7 +222,7 @@ let run ?cache ?pool ?preflight ~config ~objective ?initial problem ~members =
             | Some (p, slot, score) ->
                 Ftes_obs.Metrics.incr c_accepts;
                 mapping.(p) <- slot;
-                tabu.(p) <- config.Config.tabu_tenure;
+                tabu.(p) <- tabu_tenure;
                 wait.(p) <- 0;
                 Array.iteri
                   (fun q t ->

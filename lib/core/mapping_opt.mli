@@ -1,12 +1,13 @@
 (** MappingAlgorithm (Section 6.2): tabu-search process mapping.
 
     Explores re-mappings of the processes on the current critical path.
-    A re-mapped process becomes tabu for a few iterations; processes
-    that have waited long are considered first; a move is taken when it
-    (1) beats the best-so-far solution (aspiration, tabu ignored) or
-    (2) is the best of the currently allowed moves, even if worse than
-    the best-so-far (diversification).  The search stops after a number
-    of non-improving iterations.
+    A re-mapped process becomes tabu for 3 iterations; the 5 critical
+    processes that have waited longest are considered at each
+    iteration; a move is taken when it (1) beats the best-so-far
+    solution (aspiration, tabu ignored) or (2) is the best of the
+    currently allowed moves, even if worse than the best-so-far
+    (diversification).  The search stops after 10 non-improving
+    iterations, or at {!Config.t.max_iterations}.
 
     Each evaluated mapping is completed into a full solution by
     {!Redundancy_opt} (hardening levels + re-executions), exactly as in
@@ -20,8 +21,7 @@
 
 type objective = Schedule_length | Architecture_cost
 
-val initial_mapping :
-  config:Config.t -> Ftes_model.Problem.t -> members:int array -> int array
+val initial_mapping : Ftes_model.Problem.t -> members:int array -> int array
 (** Greedy earliest-finish-time mapping at minimum hardening, used as
     the tabu starting point. *)
 

@@ -20,7 +20,7 @@ type result = {
    (see {!Ftes_model.Design}); the result design shares the key's. *)
 type eval_key = { members : int array; levels : int array; mapping : int array }
 
-(* [probe] and [run] ignore the input levels on top of that (the level
+(* [probe] ignores the input levels on top of that (the level
    search overwrites them), so whole probe outcomes are additionally
    memoized on just (policy, members, mapping) — the tabu search
    re-probes the same mapping whenever a move is revisited, and the
@@ -446,7 +446,7 @@ let prune_dead prune levels =
 (* The candidate is provably dead OR provably misses the deadline
    (some slot's length lower bound overruns it).  Safe only where the
    caller rejects deadline-missing candidates without using their
-   length — the reduction pass and the fixed-level policies. *)
+   length: the reduction pass. *)
 let prune_rejected prune problem levels =
   match prune with
   | None -> false
@@ -605,14 +605,6 @@ let reduce ?cache ?prune config problem design (current : result) =
   in
   descend current
 
-let fixed_levels ?cache ?prune config problem design levels =
-  let d = deadline problem in
-  if prune_rejected prune problem levels then None
-  else
-    match evaluate ?cache config problem design levels with
-    | Some r when Ftes_util.Tolerance.leq r.schedule_length d -> Some r
-    | Some _ | None -> None
-
 (* A report only proves what it analysed: reject one derived for a
    different problem, bound or policy bucket before trusting its
    oracles. *)
@@ -629,43 +621,23 @@ let validate_preflight ~config problem (pf : Preflight.t) =
     invalid_arg
       "Redundancy_opt: pre-flight slack bucket differs from the config's"
 
-let prune_of ?preflight ~config problem design =
-  Option.iter (validate_preflight ~config problem) preflight;
-  prune_ctx preflight problem design
-
-let run ?cache ?preflight ~config problem design =
-  let prune = prune_of ?preflight ~config problem design in
-  match config.Config.hardening with
-  | Config.Fixed_min ->
-      fixed_levels ?cache ?prune config problem design (min_levels design)
-  | Config.Fixed_max ->
-      fixed_levels ?cache ?prune config problem design
-        (max_levels problem design)
-  | Config.Optimize -> (
-      match escalate ?cache ?prune config problem design with
-      | Some r, _ -> Some (reduce ?cache ?prune config problem design r)
-      | None, _ -> None)
-
-let probe_fixed ?cache ?prune config problem design levels =
-  (* Deadness only: an over-deadline result's length is still
-     returned, so the deadline bound must not shortcut it. *)
-  if prune_dead prune levels then (None, infinity)
-  else
-    match evaluate ?cache config problem design levels with
-    | Some r ->
-        let ok =
-          Ftes_util.Tolerance.leq r.schedule_length (deadline problem)
-        in
-        ((if ok then Some r else None), r.schedule_length)
-    | None -> (None, infinity)
-
 let probe_uncached ?cache ?prune ~config problem design =
+  (* A fixed policy evaluates one vector.  Only deadness may be pruned:
+     an over-deadline result's length is still returned. *)
+  let fixed levels =
+    if prune_dead prune levels then (None, infinity)
+    else
+      match evaluate ?cache config problem design levels with
+      | Some r ->
+          let ok =
+            Ftes_util.Tolerance.leq r.schedule_length (deadline problem)
+          in
+          ((if ok then Some r else None), r.schedule_length)
+      | None -> (None, infinity)
+  in
   match config.Config.hardening with
-  | Config.Fixed_min ->
-      probe_fixed ?cache ?prune config problem design (min_levels design)
-  | Config.Fixed_max ->
-      probe_fixed ?cache ?prune config problem design
-        (max_levels problem design)
+  | Config.Fixed_min -> fixed (min_levels design)
+  | Config.Fixed_max -> fixed (max_levels problem design)
   | Config.Optimize -> (
       match escalate ?cache ?prune config problem design with
       | Some r, best_len ->
@@ -673,7 +645,8 @@ let probe_uncached ?cache ?prune ~config problem design =
       | None, best_len -> (None, best_len))
 
 let probe ?cache ?preflight ~config problem design =
-  let prune = prune_of ?preflight ~config problem design in
+  Option.iter (validate_preflight ~config problem) preflight;
+  let prune = prune_ctx preflight problem design in
   match cache with
   | None -> probe_uncached ?prune ~config problem design
   | Some cache -> (
@@ -690,10 +663,3 @@ let probe ?cache ?preflight ~config problem design =
           store cache Probe_tbl.length Probe_tbl.replace cache.probes key
             outcome;
           outcome)
-
-let best_effort_length ?cache ?preflight ~config problem design =
-  let prune = prune_of ?preflight ~config problem design in
-  match config.Config.hardening with
-  | Config.Fixed_min | Config.Fixed_max ->
-      snd (probe_uncached ?cache ?prune ~config problem design)
-  | Config.Optimize -> snd (escalate ?cache ?prune config problem design)

@@ -36,7 +36,7 @@ type result = {
 type cache
 (** Memoization shared by one optimization run: the SFP node-table
     cache, a table of whole candidate evaluations keyed on
-    [(members, levels, mapping)] — a pure key because {!run} overwrites
+    [(members, levels, mapping)] — a pure key because {!probe} overwrites
     levels and reexecs and the config is fixed per run — and a table of
     whole {!probe} outcomes keyed on [(policy, members, mapping)].
     Domain-safe; caching never changes any result.
@@ -102,10 +102,26 @@ val validate_preflight :
 (** Raises [Invalid_argument] unless the report was derived for exactly
     this problem (physical equality) under the config's [kmax] and
     slack-policy bucket — the premises its pruning oracles are sound
-    under.  {!run} / {!probe} apply it to their [preflight] argument;
+    under.  {!probe} applies it to its [preflight] argument;
     {!Design_strategy} applies it once up front. *)
 
 val reset_eval_stats : unit -> unit
+
+val evaluate_fresh :
+  ?sfp:Ftes_par.Sfp_cache.t ->
+  Config.t ->
+  Ftes_model.Problem.t ->
+  Ftes_model.Design.t ->
+  result option
+(** [evaluate_fresh config problem design]: the leaf evaluation — the
+    re-execution k-search ({!Re_execution_opt.search}) at [design]'s
+    levels, one length-only schedule and the result record, with the
+    margin taken from the failure the k-search accepted (one SFP pass).
+    [None] when the goal is unreachable within [kmax].  No memo: [sfp]
+    only shares SFP node tables.  The result design shares [design]'s
+    frozen arrays (see {!Ftes_model.Design}).  {!evaluate} computes its
+    misses with it, and {!Exhaustive} and the exact branch-and-bound
+    score their leaves with it. *)
 
 val evaluate :
   ?cache:cache ->
@@ -119,29 +135,6 @@ val evaluate :
     [None] when the goal is unreachable.  Memoized in [cache] (a miss
     copies [levels], which the caller may reuse afterwards). *)
 
-val run :
-  ?cache:cache ->
-  ?preflight:Ftes_analyze.Preflight.t ->
-  config:Config.t ->
-  Ftes_model.Problem.t ->
-  Ftes_model.Design.t ->
-  result option
-(** [run ~config problem design] uses [design]'s members and mapping;
-    its levels and reexecs fields are ignored (replaced by the search).
-    Returns [None] when no hardening vector allowed by the policy makes
-    the application both schedulable and reliable.
-
-    [preflight] enables pre-flight pruning: hardening vectors whose
-    outcome the report already decides — the reliability goal provably
-    unreachable on some member, or (during reduction and under the
-    fixed policies) a member's schedule-length lower bound provably
-    beyond the deadline — are skipped without evaluation, counted by
-    [analyze.pruned_assignments].  Both tests are one-sided, so the
-    result is bit-identical with or without the report.  Raises
-    [Invalid_argument] when the report was derived for a different
-    problem, or under a [kmax] or slack-policy bucket other than the
-    config's. *)
-
 val probe :
   ?cache:cache ->
   ?preflight:Ftes_analyze.Preflight.t ->
@@ -149,20 +142,32 @@ val probe :
   Ftes_model.Problem.t ->
   Ftes_model.Design.t ->
   result option * float
-(** [probe ~config problem design] is [(run ..., best-effort length)]
-    computed in a single escalation pass; the tabu mapping search uses
-    the length to rank unschedulable mappings and the result to track
-    schedulable ones.  [preflight] prunes as in {!run} (deadness only
-    where a candidate's length still matters). *)
+(** The hardening search of one mapping, the only entry point.
+    [probe ~config problem design] uses [design]'s members and mapping;
+    its levels and reexecs fields are ignored (replaced by the search).
+    It returns [(solution, best_len)], computed in a single escalation
+    pass:
 
-val best_effort_length :
-  ?cache:cache ->
-  ?preflight:Ftes_analyze.Preflight.t ->
-  config:Config.t ->
-  Ftes_model.Problem.t ->
-  Ftes_model.Design.t ->
-  float
-(** The shortest worst-case schedule length reachable by the policy for
-    this mapping, even if it misses the deadline ([infinity] when the
-    reliability goal is unreachable at every hardening vector).  Used as
-    the tabu-search objective while no schedulable mapping is known. *)
+    - [solution] is the result of the policy's search, or [None] when
+      no hardening vector allowed by the policy makes the application
+      both schedulable and reliable;
+    - [best_len] is the shortest worst-case schedule length the policy
+      reaches for this mapping, even if it misses the deadline
+      ([infinity] when the reliability goal is unreachable at every
+      vector tried).
+
+    The tabu mapping search uses the length to rank unschedulable
+    mappings and the result to track schedulable ones.  With [cache],
+    whole outcomes are memoized on (policy, members, mapping).
+
+    [preflight] enables pre-flight pruning: hardening vectors whose
+    outcome the report already decides — the reliability goal provably
+    unreachable on some member, or (during reduction) a member's
+    schedule-length lower bound provably beyond the deadline — are
+    skipped without evaluation, counted by
+    [analyze.pruned_assignments].  Deadness alone is pruned wherever a
+    candidate's length still matters.  Both tests are one-sided, so
+    both components are bit-identical with or without the report.
+    Raises [Invalid_argument] when the report was derived for a
+    different problem, or under a [kmax] or slack-policy bucket other
+    than the config's. *)

@@ -96,11 +96,11 @@ let run ?cache ?recorded_of (req : Request.t) =
       let config = Config.with_certify true config in
       match req.Request.whatif with
       | None ->
-          let record = ref None in
-          let solution =
-            Design_strategy.run ?cache ~record ~config problem
-          in
-          Optimized { solution; recorded = !record; reuse = None }
+          let recorded = Design_strategy.run_recorded ?cache ~config problem in
+          Optimized
+            { solution = recorded.Design_strategy.rec_solution;
+              recorded = Some recorded;
+              reuse = None }
       | Some { Request.base_id; delta } ->
           let base =
             match base_id with

@@ -18,8 +18,7 @@ let design_on_all_nodes problem =
   let m = Ftes_model.Problem.n_library problem in
   let members = Array.init m Fun.id in
   let mapping =
-    Ftes_core.Mapping_opt.initial_mapping ~config:Config.default problem
-      ~members
+    Ftes_core.Mapping_opt.initial_mapping problem ~members
   in
   Ftes_model.Design.make problem ~members ~levels:(Array.make m 1)
     ~reexecs:(Array.make m 0) ~mapping

@@ -42,26 +42,45 @@ let simulate ~bus ~decide problem design (schedule : Schedule.t) =
         (schedule.Schedule.entries.(a).Schedule.start, a)
         (schedule.Schedule.entries.(b).Schedule.start, b))
     order;
-  (* The bus keeps its static arbitration policy, but transmissions
-     shift to the producers' actual (fault-delayed) finish times,
-     exactly as in a conditional schedule's contingency branches. *)
+  (* The bus keeps the static schedule's arbitration: messages are
+     booked in its transmission order ([Schedule.messages]), each at the
+     later of its producer's actual (fault-delayed) finish and the bus
+     state, exactly as in a conditional schedule's contingency branches.
+     A message is booked when a consumer first needs it, together with
+     every message queued ahead of it on the same bus resource (the
+     whole bus under FCFS, the sender's own slots under TDMA).  Those
+     were booked no later than it in the static schedule, so their
+     producers start earlier and have already run. *)
   let bus_state = Ftes_sched.Bus.create bus ~members in
+  let queue_of slot =
+    match bus with Ftes_sched.Bus.Fcfs -> 0 | Ftes_sched.Bus.Tdma _ -> slot
+  in
+  let queues = Array.make members [] in
+  List.iter
+    (fun (m : Schedule.message) ->
+      let q = queue_of design.Design.mapping.(m.Schedule.edge.Task_graph.src) in
+      queues.(q) <- m :: queues.(q))
+    (List.rev schedule.Schedule.messages);
   let message_actual_finish = Hashtbl.create 16 in
-  let dispatch_outputs proc =
-    List.iter
-      (fun (m : Schedule.message) ->
-        if m.Schedule.edge.Task_graph.src = proc then begin
-          let _, finish =
-            Ftes_sched.Bus.transmit bus_state
-              ~member:design.Design.mapping.(proc)
-              ~ready:actual_finish.(proc)
-              ~duration:m.Schedule.edge.Task_graph.transmission_ms
-          in
-          Hashtbl.replace message_actual_finish
-            (m.Schedule.edge.Task_graph.src, m.Schedule.edge.Task_graph.dst)
-            finish
-        end)
-      schedule.Schedule.messages
+  let rec book_until (e : Task_graph.edge) =
+    match Hashtbl.find_opt message_actual_finish (e.src, e.dst) with
+    | Some finish -> finish
+    | None -> (
+        let q = queue_of design.Design.mapping.(e.src) in
+        match queues.(q) with
+        | [] -> invalid_arg "Executor: message missing from the schedule"
+        | (m : Schedule.message) :: rest ->
+            queues.(q) <- rest;
+            let src = m.Schedule.edge.Task_graph.src in
+            let _, finish =
+              Ftes_sched.Bus.transmit bus_state
+                ~member:design.Design.mapping.(src) ~ready:actual_finish.(src)
+                ~duration:m.Schedule.edge.Task_graph.transmission_ms
+            in
+            Hashtbl.replace message_actual_finish
+              (src, m.Schedule.edge.Task_graph.dst)
+              finish;
+            book_until e)
   in
   let message_arrival proc =
     List.fold_left
@@ -69,9 +88,7 @@ let simulate ~bus ~decide problem design (schedule : Schedule.t) =
         let src_slot = design.Design.mapping.(e.src) in
         let dst_slot = design.Design.mapping.(proc) in
         if src_slot = dst_slot then Float.max acc actual_finish.(e.src)
-        else
-          Float.max acc
-            (Hashtbl.find message_actual_finish (e.src, e.dst)))
+        else Float.max acc (book_until e))
       0.0 (Task_graph.preds graph proc)
   in
   let exception Exhausted of int in
@@ -104,7 +121,6 @@ let simulate ~bus ~decide problem design (schedule : Schedule.t) =
          let finish = attempt (start +. t) in
          actual_finish.(proc) <- finish;
          node_avail.(slot) <- finish;
-         dispatch_outputs proc;
          makespan := Float.max !makespan finish)
        order
    with Exhausted slot -> failed_node := Some slot);

@@ -13,10 +13,15 @@ let fsync_dir dir =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       Unix.close fd
 
+(* A failed open or rename surfaces as the [Sys_error] the standard
+   library raises for file errors, naming the target. *)
+let fail path err = raise (Sys_error (path ^ ": " ^ Unix.error_message err))
+
 let write ?(fsync = true) path f =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    try Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    with Unix.Unix_error (err, _, _) -> fail path err
   in
   let oc = Unix.out_channel_of_descr fd in
   (match f oc with
@@ -28,7 +33,10 @@ let write ?(fsync = true) path f =
       (try close_out oc with _ -> ());
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e);
-  Unix.rename tmp path;
+  (try Unix.rename tmp path
+   with Unix.Unix_error (err, _, _) ->
+     (try Sys.remove tmp with Sys_error _ -> ());
+     fail path err);
   if fsync then fsync_dir (Filename.dirname path)
 
 let write_string ?fsync path s =

@@ -14,7 +14,11 @@ val write : ?fsync:bool -> string -> (out_channel -> unit) -> unit
     [~fsync:false] — benchmarks that rewrite results in a tight loop
     may opt out), renames it over [path] and finally syncs the
     directory so the rename itself survives a crash.  The temporary
-    file is removed when [f] raises; the exception is re-raised. *)
+    file is removed when [f] raises; the exception is re-raised.  When
+    the temporary cannot be created or the rename fails (say, [path] is
+    a directory), the temporary is removed and [Sys_error] is raised
+    with a message that names [path], e.g. ["d/x.json: Is a
+    directory"]. *)
 
 val write_string : ?fsync:bool -> string -> string -> unit
 (** [write_string path s] is [write path (fun oc -> output_string oc s)]. *)

@@ -494,6 +494,23 @@ let test_live_counters_certify () =
     ("live campaign snapshot certifies:\n" ^ Report.to_text report)
     true (Report.ok report)
 
+(* A checkpoint path that cannot be written (here: a directory in its
+   place) fails the shard with an error naming the path, and the
+   temporary file of the failed write is removed. *)
+let test_unwritable_checkpoint () =
+  let manifest, dir = fresh_campaign ~shards:1 () in
+  let target = Checkpoint.path ~dir 0 in
+  Unix.mkdir target 0o700;
+  let summary = Runner.run_local ~manifest ~dir () in
+  (match summary.Runner.failed with
+  | [ (0, msg) ] ->
+      Helpers.check_contains "shard error" msg (target ^ ": Is a directory")
+  | _ -> Alcotest.fail "shard 0 should be the one failed shard");
+  Alcotest.(check (list string)) "no temporary file left" []
+    (List.filter
+       (fun f -> Helpers.contains f ".tmp.")
+       (Array.to_list (Sys.readdir dir)))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "ftes_campaign"
@@ -514,7 +531,9 @@ let () =
         [ Alcotest.test_case "structured rejection" `Quick
             test_corrupt_checkpoint_rejected;
           Alcotest.test_case "out-of-range point" `Quick
-            test_out_of_range_point_rejected ] );
+            test_out_of_range_point_rejected;
+          Alcotest.test_case "unwritable checkpoint" `Quick
+            test_unwritable_checkpoint ] );
       ( "rules",
         [ Alcotest.test_case "pristine campaign passes" `Quick
             test_campaign_rules_pass;

@@ -88,7 +88,7 @@ let test_redundancy_fig3_opt () =
     Design.make problem ~members:[| 0 |] ~levels:[| 1 |] ~reexecs:[| 0 |]
       ~mapping:[| 0 |]
   in
-  match Redundancy_opt.run ~config:Config.default problem design with
+  match fst (Redundancy_opt.probe ~config:Config.default problem design) with
   | None -> Alcotest.fail "fig3 should be solvable"
   | Some r ->
       Alcotest.(check int) "chooses h=2" 2 r.Redundancy_opt.design.Design.levels.(0);
@@ -103,7 +103,8 @@ let test_redundancy_fixed_min () =
   in
   (* At minimum hardening the single process needs k=6 -> SL 680 > 360. *)
   Alcotest.(check bool) "MIN infeasible on fig3" true
-    (Redundancy_opt.run ~config:Config.min_strategy problem design = None)
+    (fst (Redundancy_opt.probe ~config:Config.min_strategy problem design)
+     = None)
 
 let test_redundancy_fixed_max () =
   let problem = fig3 () in
@@ -111,7 +112,7 @@ let test_redundancy_fixed_max () =
     Design.make problem ~members:[| 0 |] ~levels:[| 1 |] ~reexecs:[| 0 |]
       ~mapping:[| 0 |]
   in
-  match Redundancy_opt.run ~config:Config.max_strategy problem design with
+  match fst (Redundancy_opt.probe ~config:Config.max_strategy problem design) with
   | None -> Alcotest.fail "MAX feasible on fig3"
   | Some r ->
       Alcotest.(check int) "level 3" 3 r.Redundancy_opt.design.Design.levels.(0);
@@ -120,7 +121,7 @@ let test_redundancy_fixed_max () =
 let test_redundancy_result_is_feasible () =
   let problem = fig1 () in
   let base = Design.with_reexecs (Ftes_cc.Fig_examples.fig4a problem) [| 0; 0 |] in
-  match Redundancy_opt.run ~config:Config.default problem base with
+  match fst (Redundancy_opt.probe ~config:Config.default problem base) with
   | None -> Alcotest.fail "feasible"
   | Some r ->
       let d = r.Redundancy_opt.design in
@@ -128,28 +129,16 @@ let test_redundancy_result_is_feasible () =
       Alcotest.(check bool) "reliable" true (Sfp.meets_goal problem d);
       Alcotest.(check bool) "cost at most both-h2" true (r.Redundancy_opt.cost <= 72.0)
 
-let test_probe_matches_run () =
-  let problem = fig1 () in
-  let base = Design.with_reexecs (Ftes_cc.Fig_examples.fig4a problem) [| 0; 0 |] in
-  let run = Redundancy_opt.run ~config:Config.default problem base in
-  let probe, best_len = Redundancy_opt.probe ~config:Config.default problem base in
-  (match (run, probe) with
-  | Some a, Some b ->
-      Alcotest.(check (float 1e-9)) "same cost" a.Redundancy_opt.cost b.Redundancy_opt.cost
-  | None, None -> ()
-  | _ -> Alcotest.fail "probe and run disagree on feasibility");
-  Alcotest.(check bool) "best-effort length is finite" true (Float.is_finite best_len)
-
 let test_best_effort_length () =
   let problem = fig3 () in
   let design =
     Design.make problem ~members:[| 0 |] ~levels:[| 1 |] ~reexecs:[| 0 |]
       ~mapping:[| 0 |]
   in
-  let len = Redundancy_opt.best_effort_length ~config:Config.default problem design in
+  let len = snd (Redundancy_opt.probe ~config:Config.default problem design) in
   Alcotest.(check (float 1e-9)) "shortest reachable worst case" 340.0 len;
   let len_min =
-    Redundancy_opt.best_effort_length ~config:Config.min_strategy problem design
+    snd (Redundancy_opt.probe ~config:Config.min_strategy problem design)
   in
   Alcotest.(check (float 1e-9)) "MIN best effort is 680" 680.0 len_min
 
@@ -158,7 +147,7 @@ let test_best_effort_length () =
 let test_initial_mapping_total () =
   let problem = Helpers.synthetic_problem ~n:15 () in
   let members = [| 0; 1; 2 |] in
-  let mapping = Mapping_opt.initial_mapping ~config:Config.default problem ~members in
+  let mapping = Mapping_opt.initial_mapping problem ~members in
   Alcotest.(check int) "covers all processes" 15 (Array.length mapping);
   Array.iter
     (fun slot -> Alcotest.(check bool) "valid slot" true (slot >= 0 && slot < 3))
@@ -547,7 +536,6 @@ let () =
           Alcotest.test_case "fixed MIN" `Quick test_redundancy_fixed_min;
           Alcotest.test_case "fixed MAX" `Quick test_redundancy_fixed_max;
           Alcotest.test_case "result feasible" `Quick test_redundancy_result_is_feasible;
-          Alcotest.test_case "probe matches run" `Quick test_probe_matches_run;
           Alcotest.test_case "best-effort length" `Quick test_best_effort_length ] );
       ( "mapping_opt",
         [ Alcotest.test_case "initial mapping total" `Quick test_initial_mapping_total;

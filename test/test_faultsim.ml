@@ -300,6 +300,56 @@ let test_scenario_nominal_tdma () =
   in
   check_close 1e-9 "TDMA nominal replay" nominal o.Executor.makespan
 
+(* A fault-free replay with no re-execution budget reproduces the
+   static schedule: the bus books every message in the schedule's
+   transmission order.  Booking them in producer start order instead
+   let msg 2->4 (ready at 37.79 ms) take the bus before msg 3->5
+   (ready at 35.36 ms) on this instance, and the replay ended at
+   54.03 ms instead of 51.66 ms. *)
+let test_fault_free_replay_order () =
+  let problem = Helpers.synthetic_problem ~seed:70 ~n:6 () in
+  let design =
+    Design.make problem ~members:[| 0; 1 |] ~levels:[| 1; 1 |]
+      ~reexecs:[| 0; 0 |] ~mapping:[| 0; 0; 0; 1; 1; 0 |]
+  in
+  let schedule = Scheduler.schedule problem design in
+  let o =
+    Executor.run_scenario problem design schedule ~faults:(Array.make 6 0)
+  in
+  check_close 1e-9 "replay = schedule length"
+    (Scheduler.schedule_length problem design)
+    o.Executor.makespan;
+  let r = Scenarios.worst_case problem design in
+  Alcotest.(check bool) "within the sound bound" true
+    (r.Scenarios.exact_worst_ms <= r.Scenarios.conservative_bound_ms +. 1e-9)
+
+let prop_fault_free_replay =
+  QCheck.Test.make ~count:60
+    ~name:"fault-free replay makespan = schedule length (k = 0)"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let prng = Prng.create seed in
+      let problem =
+        Helpers.synthetic_problem ~seed ~n:(4 + Prng.int prng 12) ()
+      in
+      let d = Helpers.random_design prng problem in
+      let design =
+        Design.with_reexecs d (Array.make (Design.n_members d) 0)
+      in
+      let faults = Array.make (Ftes_model.Problem.n_processes problem) 0 in
+      List.for_all
+        (fun bus ->
+          List.for_all
+            (fun slack ->
+              let schedule = Scheduler.schedule ~slack ~bus problem design in
+              let o =
+                Executor.run_scenario ~bus problem design schedule ~faults
+              in
+              Float.equal o.Executor.makespan
+                (Scheduler.schedule_length ~slack ~bus problem design))
+            (List.map snd Helpers.named_slack_policies))
+        Helpers.bus_policies)
+
 let test_worst_case_limit () =
   let problem = Helpers.synthetic_problem ~n:20 () in
   let design = Helpers.design_on_all_nodes ~k:5 problem in
@@ -417,6 +467,9 @@ let () =
           Alcotest.test_case "TDMA nominal replay" `Quick
             test_scenario_nominal_tdma;
           Alcotest.test_case "limit guard" `Quick test_worst_case_limit;
+          Alcotest.test_case "fault-free replay keeps the bus order" `Quick
+            test_fault_free_replay_order;
+          q prop_fault_free_replay;
           q prop_exact_within_conservative ] );
       ( "campaign",
         [ Alcotest.test_case "matches SFP" `Slow test_campaign_matches_sfp;

@@ -233,9 +233,8 @@ let test_grow_skips_saturated_member () =
     k
 
 (* An Optimize probe over a single fully-hardened unschedulable mapping
-   memoizes its (None, best_len) outcome; a later escalation over the
-   same mapping (through the memoized evaluations) must report the same
-   best-effort length.  Per call, the evaluation behind it must match
+   memoizes its (None, best_len) outcome; an uncached probe of the same
+   mapping must report the same outcome and best-effort length.  Per call, the evaluation behind it must match
    the oracles: the oracle ascent's re-executions and the oracle
    schedule's length, or no result and an infinite length when the
    oracle ascent finds the reliability goal unreachable (as it does at
@@ -255,11 +254,9 @@ let test_unschedulable_probe_matches_best_effort_length () =
         Redundancy_opt.probe ~cache ~config problem design
       in
       Alcotest.(check bool) "mapping is unschedulable" true (outcome = None);
-      let len2 =
-        Redundancy_opt.best_effort_length ~cache ~config problem design
-      in
-      Alcotest.(check bool) "memoized best-effort length served" true
-        (feq len2 best_len);
+      let uncached, len2 = Redundancy_opt.probe ~config problem design in
+      Alcotest.(check bool) "cached probe = uncached probe" true
+        (uncached = None && feq len2 best_len);
       let evaluated =
         Redundancy_opt.evaluate ~cache config problem design
           design.Design.levels
@@ -374,8 +371,7 @@ let test_memo_keys_survive_caller_mutation () =
   let m = Problem.n_library problem in
   let members = Array.init m Fun.id in
   let mapping =
-    Ftes_core.Mapping_opt.initial_mapping ~config:Config.default problem
-      ~members
+    Ftes_core.Mapping_opt.initial_mapping problem ~members
   in
   let design =
     Design.make problem ~members ~levels:(Array.make m 1)

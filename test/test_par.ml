@@ -196,6 +196,40 @@ let prop_strategy_parallel_identical =
             bus_policies)
         slack_policies)
 
+(* The walk's counters do not depend on the pool: a 4-domain walk
+   scores batches of 8 and pre-filters them, and the merge must count
+   every candidate the pre-filter dropped as pruned, as the
+   one-at-a-time walk does. *)
+let pool4 = Pool.create ~domains:4 ()
+
+let prop_strategy_counters_pool_invariant =
+  QCheck.Test.make ~count:4
+    ~name:
+      "strategy.explored / strategy.pruned: sequential = 4 domains (all \
+       slack x bus policies)"
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let problem = problem_of_seed seed in
+      let explored = Ftes_obs.Metrics.counter "strategy.explored" in
+      let pruned = Ftes_obs.Metrics.counter "strategy.pruned" in
+      let deltas run =
+        let e0 = Ftes_obs.Metrics.counter_value explored in
+        let p0 = Ftes_obs.Metrics.counter_value pruned in
+        ignore (run ());
+        ( Ftes_obs.Metrics.counter_value explored - e0,
+          Ftes_obs.Metrics.counter_value pruned - p0 )
+      in
+      List.for_all
+        (fun (_, slack) ->
+          List.for_all
+            (fun (_, bus) ->
+              let config = Config.(default |> with_slack slack |> with_bus bus) in
+              deltas (fun () -> Design_strategy.run ~config problem)
+              = deltas (fun () ->
+                    Design_strategy.run ~pool:pool4 ~config problem))
+            bus_policies)
+        slack_policies)
+
 let prop_memoization_invisible =
   QCheck.Test.make ~count:10
     ~name:"Sfp_cache / eval cache on = off (sequential, exact)"
@@ -246,6 +280,7 @@ let () =
            test_sfp_cache_matches_fresh ]);
       ("determinism",
        [ q prop_strategy_parallel_identical;
+         q prop_strategy_counters_pool_invariant;
          q prop_memoization_invisible;
          Alcotest.test_case "policy sweep over one shared cache" `Quick
            test_policy_sweep_shared_cache ]) ]
